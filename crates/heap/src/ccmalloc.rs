@@ -26,8 +26,8 @@ use crate::snapshot::{LayoutSnapshot, SnapshotLedger};
 use crate::stats::HeapStats;
 use crate::vspace::VirtualSpace;
 use crate::Allocator;
+use cc_sim::fasthash::FastHashMap;
 use cc_sim::MachineConfig;
-use std::collections::HashMap;
 
 /// Block-selection strategy when the hinted cache block is full
 /// (paper Section 3.2.1).
@@ -99,12 +99,12 @@ pub struct CcMalloc {
     block_bytes: u64,
     page_bytes: u64,
     strategy: Strategy,
-    pages: HashMap<u64, PageState>,
+    pages: FastHashMap<u64, PageState>,
     /// Page used for hint-less allocations until it fills.
     current: Option<u64>,
     /// Live allocations: address → (size, page base). Pages the entry
     /// does not know about are large dedicated runs.
-    live: HashMap<u64, (u64, Option<u64>)>,
+    live: FastHashMap<u64, (u64, Option<u64>)>,
     /// Requested sizes, birth order, and hints for `snapshot` (the `live`
     /// map holds *rounded* sizes, which drive block bookkeeping).
     ledger: SnapshotLedger,
@@ -164,9 +164,9 @@ impl CcMalloc {
             block_bytes,
             page_bytes,
             strategy,
-            pages: HashMap::new(),
+            pages: FastHashMap::default(),
             current: None,
-            live: HashMap::new(),
+            live: FastHashMap::default(),
             ledger: SnapshotLedger::default(),
             empty_blocks: Vec::new(),
             holey_blocks: Vec::new(),
@@ -239,17 +239,14 @@ impl CcMalloc {
     }
 
     /// Last-resort search when fresh pages are denied: first block with
-    /// room anywhere in the heap, scanning pages in address order (the
-    /// `HashMap` iteration order is not deterministic, so the keys are
-    /// sorted first — fault runs must replay bit-identically).
+    /// room anywhere in the heap, scanning pages in address order (map
+    /// iteration order follows the hash, not the address, so the keys
+    /// are sorted first — fault runs must replay bit-identically).
     fn scavenge_block(&self, size: u64) -> Option<(u64, usize)> {
         let mut keys: Vec<u64> = self.pages.keys().copied().collect();
         keys.sort_unstable();
-        keys.into_iter().find_map(|page| {
-            (0..self.blocks_per_page())
-                .find(|&i| self.fits(page, i, size))
-                .map(|i| (page, i))
-        })
+        keys.into_iter()
+            .find_map(|page| self.first_fit(self.blocks(page), size).map(|i| (page, i)))
     }
 
     /// Last-resort search for a run of `nblocks` empty blocks anywhere.
@@ -260,8 +257,18 @@ impl CcMalloc {
             .find_map(|page| self.find_run(page, nblocks).map(|s| (page, s)))
     }
 
+    /// The block states of a page this heap owns.
+    fn blocks(&self, page: u64) -> &[BlockState] {
+        &self.pages[&page].blocks
+    }
+
     fn fits(&self, page: u64, idx: usize, size: u64) -> bool {
-        self.pages[&page].blocks[idx].fits(size, self.block_bytes)
+        self.blocks(page)[idx].fits(size, self.block_bytes)
+    }
+
+    /// First of a page's `blocks` with room for `size`.
+    fn first_fit(&self, blocks: &[BlockState], size: u64) -> Option<usize> {
+        blocks.iter().position(|b| b.fits(size, self.block_bytes))
     }
 
     fn place(&mut self, page: u64, idx: usize, size: u64) -> u64 {
@@ -291,10 +298,10 @@ impl CcMalloc {
         addr
     }
 
-    /// Picks a block on `page` per the strategy; `None` if the page can't
-    /// take this allocation.
-    fn select_block(&self, page: u64, near: usize, size: u64) -> Option<usize> {
-        let n = self.blocks_per_page();
+    /// Picks one of a page's `blocks` per the strategy; `None` if the
+    /// page can't take this allocation.
+    fn select_block(&self, blocks: &[BlockState], near: usize, size: u64) -> Option<usize> {
+        let n = blocks.len();
         match self.strategy {
             Strategy::Closest => (1..n).find_map(|d| {
                 // Alternate outward from the hint block.
@@ -303,16 +310,16 @@ impl CcMalloc {
                 [lo, hi]
                     .into_iter()
                     .flatten()
-                    .find(|&i| self.fits(page, i, size))
+                    .find(|&i| blocks[i].fits(size, self.block_bytes))
             }),
-            Strategy::NewBlock => (0..n).find(|&i| self.pages[&page].blocks[i].bump == 0),
-            Strategy::FirstFit => (0..n).find(|&i| self.fits(page, i, size)),
+            Strategy::NewBlock => blocks.iter().position(|b| b.bump == 0),
+            Strategy::FirstFit => self.first_fit(blocks, size),
         }
     }
 
     /// Finds `nblocks` consecutive empty blocks on `page`.
     fn find_run(&self, page: u64, nblocks: usize) -> Option<usize> {
-        let blocks = &self.pages[&page].blocks;
+        let blocks = self.blocks(page);
         (0..blocks.len().saturating_sub(nblocks - 1))
             .find(|&s| blocks[s..s + nblocks].iter().all(|b| b.bump == 0))
     }
@@ -388,14 +395,16 @@ impl CcMalloc {
 
         if let Some(h) = hint {
             let page = h & !(self.page_bytes - 1);
-            if self.pages.contains_key(&page) {
+            if let Some(state) = self.pages.get(&page) {
                 let idx = ((h - page) / self.block_bytes) as usize;
-                // 1. Same cache block as the hint.
-                if self.fits(page, idx, size) {
-                    return Ok((self.place(page, idx, size), Placement::Hinted));
-                }
-                // 2. Same page, strategy-selected block.
-                if let Some(i) = self.select_block(page, idx, size) {
+                // 1. Same cache block as the hint; 2. failing that, a
+                // strategy-selected block on the same page.
+                let chosen = if state.blocks[idx].fits(size, self.block_bytes) {
+                    Some(idx)
+                } else {
+                    self.select_block(&state.blocks, idx, size)
+                };
+                if let Some(i) = chosen {
                     return Ok((self.place(page, i, size), Placement::Hinted));
                 }
             }
@@ -406,7 +415,7 @@ impl CcMalloc {
 
         // Hint-less path: sequential first-fit through the current page…
         if let Some(page) = self.current {
-            if let Some(i) = (0..self.blocks_per_page()).find(|&i| self.fits(page, i, size)) {
+            if let Some(i) = self.first_fit(self.blocks(page), size) {
                 return Ok((self.place(page, i, size), Placement::Normal));
             }
         }
@@ -415,7 +424,7 @@ impl CcMalloc {
         while let Some((page, idx)) = self.holey_blocks.pop() {
             if self.fits(page, idx, size) {
                 let addr = self.place(page, idx, size);
-                if !self.pages[&page].blocks[idx].holes.is_empty() {
+                if !self.blocks(page)[idx].holes.is_empty() {
                     self.holey_blocks.push((page, idx));
                 }
                 return Ok((addr, Placement::Normal));
@@ -423,7 +432,7 @@ impl CcMalloc {
         }
         // …then a recycled empty block…
         while let Some((page, idx)) = self.empty_blocks.pop() {
-            let st = &self.pages[&page].blocks[idx];
+            let st = &self.blocks(page)[idx];
             if st.bump == 0 && st.live == 0 {
                 return Ok((self.place(page, idx, size), Placement::Normal));
             }

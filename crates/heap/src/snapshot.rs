@@ -10,7 +10,7 @@
 //! it *ignored* so an auditor can measure what co-location was asked for
 //! but not delivered.
 
-use std::collections::HashMap;
+use cc_sim::fasthash::FastHashMap;
 
 /// One live allocation, as the allocator saw it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,7 +116,7 @@ impl LayoutSnapshot {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SnapshotLedger {
     /// Address → (requested size, id, hint).
-    live: HashMap<u64, (u64, u64, Option<u64>)>,
+    live: FastHashMap<u64, (u64, u64, Option<u64>)>,
     next_id: u64,
 }
 

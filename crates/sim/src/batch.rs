@@ -890,11 +890,25 @@ impl MemorySystem {
                         out.cycles += lat.l1_hit;
                         b += block_bytes;
                     }
-                    if no_inflight && !attrib_on {
-                        // No prefetch can be outstanding, so the in-flight
-                        // probe `access_block` performs per block is a
+                    // With prefetches outstanding, the in-flight map
+                    // never empties again (records of prefetched blocks
+                    // no load visits stay, to be counted as full hits if
+                    // one ever does), so ask it about this reference's
+                    // L2 blocks only: the inline path is exact whenever
+                    // none of them is in flight.
+                    let inline = !attrib_on
+                        && (no_inflight || {
+                            let (f2, l2) = (l2_geo.block_of(b), l2_geo.block_of(last_b));
+                            !(f2..=l2)
+                                .step_by(l2_geo.block_bytes() as usize)
+                                .any(|x| self.inflight.contains_key(&x))
+                        });
+                    if inline {
+                        // No prefetch covering these blocks is
+                        // outstanding, so the in-flight probe
+                        // `access_block` performs per block is a
                         // guaranteed no-op: take the read path inline
-                        // without hashing the block address at all.
+                        // without hashing the block address again.
                         //
                         // A node that straddles one block boundary — the
                         // shape of every load in the paper's workloads —

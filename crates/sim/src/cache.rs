@@ -237,7 +237,9 @@ impl Cache {
             return true;
         }
         let was_valid = self.tags[set] != TAG_INVALID;
-        let seen = self.ever_resident.contains(addr);
+        // One test-and-set: a read miss always allocates, so the block
+        // joins the residency set whether or not it was there.
+        let seen = !self.ever_resident.insert(addr);
         tally.misses += 1;
         tally.rereferences += u64::from(seen);
         tally.evictions += u64::from(was_valid);
@@ -249,10 +251,6 @@ impl Cache {
             set_bit(&mut self.dirty, set, false);
         }
         self.tags[set] = tag;
-        // Unconditional: re-inserting a member is an idempotent bit-OR on
-        // the word `contains` just pulled into cache, cheaper than a
-        // data-dependent branch around it.
-        self.ever_resident.insert(addr);
         false
     }
 

@@ -206,13 +206,14 @@ impl MemorySystem {
         let mut deepest = Level::L1;
         let mut tlb_missed = false;
 
-        // Translate once per page touched.
+        // Translate once per page touched. Pages are a power of two (the
+        // TLB asserts it), so the page of an address is a shift.
         if let Some(tlb) = &mut self.tlb {
-            let page = self.config.page_bytes;
-            let first = addr / page;
-            let last = (addr + u64::from(size).max(1) - 1) / page;
+            let shift = tlb.page_shift();
+            let first = addr >> shift;
+            let last = (addr + u64::from(size).max(1) - 1) >> shift;
             for p in first..=last {
-                if !tlb.access(p * page) {
+                if !tlb.access(p << shift) {
                     cycles += lat.tlb_miss;
                     tlb_missed = true;
                 }
@@ -220,12 +221,8 @@ impl MemorySystem {
         }
 
         let write = kind == AccessKind::Write;
-        let blocks: Vec<u64> = self
-            .config
-            .l1
-            .blocks_touched(addr, u64::from(size))
-            .collect();
-        for baddr in blocks {
+        let l1 = self.config.l1;
+        for baddr in l1.blocks_touched(addr, u64::from(size)) {
             // Pass the first byte the reference actually touches in this
             // block (the raw address for the first block, the block base
             // for the rest): every probe below masks to block/set/tag
@@ -257,13 +254,15 @@ impl MemorySystem {
         cycles: &mut u64,
     ) -> Level {
         let lat = self.config.latency;
-        let l2_block = self.config.l2.block_of(addr);
 
-        // Wait out any in-flight prefetch covering this block.
-        if let Some(done) = self.inflight.remove(&l2_block) {
-            let wait = done.saturating_sub(now);
-            *cycles += wait;
-            self.l2.stats_record_prefetch_hit(wait > 0);
+        // Wait out any in-flight prefetch covering this block. Only
+        // prefetches fill the map, so runs without them never hash here.
+        if !self.inflight.is_empty() {
+            if let Some(done) = self.inflight.remove(&self.config.l2.block_of(addr)) {
+                let wait = done.saturating_sub(now);
+                *cycles += wait;
+                self.l2.stats_record_prefetch_hit(wait > 0);
+            }
         }
 
         let l1 = self.l1.access(addr, write);
@@ -337,8 +336,13 @@ impl MemorySystem {
         self.inflight.values().filter(|&&t| t > now).count()
     }
 
-    /// Drops in-flight records that completed before `now` (bookkeeping
-    /// hygiene for long runs).
+    /// Drops in-flight records that completed before `now`.
+    ///
+    /// No replay path calls this, and none may: a record stays in the
+    /// map after its data arrived because the next demand access to the
+    /// block still consumes it and counts a *full* prefetch hit
+    /// ([`CacheStats::prefetch_full_hits`]). Retiring completed records
+    /// would silently drop those hits from the statistics.
     pub fn retire_inflight(&mut self, now: u64) {
         self.inflight.retain(|_, &mut t| t > now);
     }

@@ -45,7 +45,7 @@ mod blockset;
 pub mod cache;
 pub mod config;
 pub mod event;
-mod fasthash;
+pub mod fasthash;
 pub mod geometry;
 pub mod hierarchy;
 mod kernel;

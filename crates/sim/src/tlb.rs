@@ -204,10 +204,20 @@ impl Tlb {
         self.head = slot;
     }
 
+    /// `log2(page_bytes)`: `addr >> page_shift()` is the page number.
+    pub(crate) fn page_shift(&self) -> u32 {
+        self.page_shift
+    }
+
     /// Translates `addr`, returning `true` on a TLB hit.
     pub fn access(&mut self, addr: u64) -> bool {
         let page = addr >> self.page_shift;
-        let hit = self.access_page_untallied(page);
+        // A repeat of the most recent page is a hit that moves nothing in
+        // the recency list: answer it before probing the table. (The
+        // batched and sharded lanes memoize same-page runs before calling
+        // `access_page_untallied`, so the check lives here, not there.)
+        let mru = self.head != NONE && self.pages[self.head as usize] == page;
+        let hit = mru || self.access_page_untallied(page);
         self.stats.record(!hit);
         hit
     }
