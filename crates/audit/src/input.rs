@@ -5,10 +5,10 @@
 //!
 //! 1. a heap [`LayoutSnapshot`](cc_heap::LayoutSnapshot) (items +
 //!    hint-derived affinity pairs) — see [`AuditInput::from_snapshot`];
-//! 2. a `ccmorph` [`Layout`](cc_core::Layout) over a
-//!    [`Topology`](cc_core::Topology) (items + structural affinity
+//! 2. a `ccmorph` [`Layout`] over a
+//!    [`Topology`] (items + structural affinity
 //!    pairs + depth-derived heat) — see [`AuditInput::from_tree_layout`];
-//! 3. an [`AffinityTrace`](cc_sim::AffinityTrace) recorded from a real
+//! 3. an [`AffinityTrace`] recorded from a real
 //!    run, which can replace or refine the static heat — see
 //!    [`AuditInput::apply_trace`].
 

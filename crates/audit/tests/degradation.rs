@@ -36,7 +36,7 @@ fn audited_chain(machine: &MachineConfig, plan: Option<&FaultPlan>) -> (Report, 
         }
     }
     let input = AuditInput::from_snapshot(&heap.snapshot(), machine.l2, machine.page_bytes, None);
-    (audit(&input, &AuditConfig::default()), heap.stats().clone())
+    (audit(&input, &AuditConfig::default()), *heap.stats())
 }
 
 fn score(report: &Report) -> f64 {
@@ -112,7 +112,7 @@ fn interleaved_chains(
         prev[c] = Some(addr);
     }
     let input = AuditInput::from_snapshot(&heap.snapshot(), machine.l2, machine.page_bytes, None);
-    (audit(&input, &AuditConfig::default()), heap.stats().clone())
+    (audit(&input, &AuditConfig::default()), *heap.stats())
 }
 
 #[test]

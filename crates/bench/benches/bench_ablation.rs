@@ -18,7 +18,7 @@ fn bench(c: &mut Criterion) {
         ("subtree_colored", ClusterKind::SubtreeBfs, true),
         ("dfs_chain", ClusterKind::DepthFirstChain, false),
     ] {
-        c.bench_function(&format!("ccmorph/{name}_64k_nodes"), |b| {
+        c.bench_function(format!("ccmorph/{name}_64k_nodes"), |b| {
             b.iter(|| {
                 let mut vs = VirtualSpace::new(machine.page_bytes);
                 let params = CcMorphParams {

@@ -25,7 +25,7 @@ fn bench(c: &mut Criterion) {
         })
     });
     for s in Strategy::ALL {
-        c.bench_function(&format!("alloc/ccmalloc_{}", s.label()), |b| {
+        c.bench_function(format!("alloc/ccmalloc_{}", s.label()), |b| {
             b.iter(|| {
                 let mut heap = CcMalloc::new(&machine, s);
                 black_box(chain(&mut heap))

@@ -15,7 +15,7 @@ fn bench(c: &mut Criterion) {
         seed: 3,
     };
     for l in Layout::ALL {
-        c.bench_function(&format!("apps/radiance_{}", l.label()), |b| {
+        c.bench_function(format!("apps/radiance_{}", l.label()), |b| {
             b.iter(|| black_box(radiance::run(l, &rp, &machine).breakdown.total()))
         });
     }
@@ -25,7 +25,7 @@ fn bench(c: &mut Criterion) {
         seed: 3,
     };
     for p in AllocPolicy::ALL {
-        c.bench_function(&format!("apps/vis_{}", p.label()), |b| {
+        c.bench_function(format!("apps/vis_{}", p.label()), |b| {
             b.iter(|| black_box(vis::run(p, &vp, &machine).breakdown.total()))
         });
     }

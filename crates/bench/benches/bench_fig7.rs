@@ -14,7 +14,7 @@ fn bench(c: &mut Criterion) {
         Scheme::CcMallocNewBlock,
         Scheme::CcMorphClusterColor,
     ] {
-        c.bench_function(&format!("fig7/treeadd_{}", s.label()), |b| {
+        c.bench_function(format!("fig7/treeadd_{}", s.label()), |b| {
             b.iter(|| black_box(treeadd::run(s, 8_192, &machine).breakdown.total()))
         });
     }

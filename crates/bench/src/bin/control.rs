@@ -23,7 +23,8 @@ fn main() {
         "benchmark", "base cycles", "null-hint", "delta"
     );
 
-    let pairs: Vec<(&str, Box<dyn Fn(Scheme) -> RunResult>)> = vec![
+    type Run<'a> = Box<dyn Fn(Scheme) -> RunResult + 'a>;
+    let pairs: Vec<(&str, Run)> = vec![
         (
             "treeadd",
             Box::new(|s| treeadd::run_iters(s, 65_536, 4, &machine)),

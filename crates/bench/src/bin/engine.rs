@@ -81,10 +81,10 @@ use cc_bench::header;
 use cc_bench::replay::{build_bst, pack_chunks, pack_full, TreeSpec};
 use cc_bench::sample::{SampledReplay, SampledSpec};
 use cc_core::rng::SplitMix64;
-use cc_sample::{error_report, Counters, SampleConfig};
+use cc_sample::{error_report, replay_full, SampleConfig};
 use cc_sim::batch::{BatchCursor, BatchSink, TraceBuf};
 use cc_sim::event::{EventSink, TraceBuffer};
-use cc_sim::shard::{ShardPlan, ShardedTrace};
+use cc_sim::shard::ShardedTrace;
 use cc_sim::{MachineConfig, MemorySink, MemorySystem, ShardedReplayer};
 use cc_sweep::{TraceKey, TraceStore};
 use criterion::black_box;
@@ -248,23 +248,19 @@ fn run_sampled_sweep(machine: &MachineConfig, quick: bool) -> SampledSweep {
     // trace length) — exactly the rate-1.0 ground-truth path.
     eprintln!("sampled sweep: full-replay baseline ({n} keys, {searches} searches)…");
     let start = Instant::now();
-    let mut r = ShardedReplayer::new(*machine, SHARDS);
     let mut rng = SplitMix64::new(seed);
-    let mut done = 0u64;
-    while done < searches {
-        let count = per.min(searches - done);
+    let mut interval = |i: usize| {
+        let count = per.min(searches - i as u64 * per);
         let mut buf = TraceBuffer::new();
         for _ in 0..count {
             let key = 2 * rng.below(n);
             tree.search(key, &mut buf, false);
         }
-        let bufs = pack_full(&buf);
-        let split = r.split(&bufs);
-        r.replay(&split);
-        done += count;
-    }
+        Arc::new(pack_full(&buf))
+    };
+    let intervals = searches.div_ceil(per) as usize;
+    let (full, _) = replay_full(machine, SHARDS, intervals, &mut interval);
     let batched_secs = start.elapsed().as_secs_f64();
-    let full = Counters::from_replayer(&r);
 
     let mut points = Vec::new();
     for clusters in [2usize, 4, 8, 16] {
@@ -1010,8 +1006,8 @@ fn main() {
             }
         }
         let chunks = pack_chunks(&trace);
-        let plan = ShardPlan::new(&machine, SHARDS);
-        let split = ShardedTrace::split_pooled(&machine, &plan, &bufs, store.split_pool());
+        let splitter = ShardedReplayer::new(machine, SHARDS);
+        let split = splitter.split_pooled(&bufs, store.split_pool());
         assert_engines_agree(&machine, spec.name, &trace, &chunks, &split);
 
         // Round-robin the engines `reps` times and keep every sample, so
@@ -1076,7 +1072,7 @@ fn main() {
             keys,
             events: trace.events().len(),
             memory_refs,
-            shards: plan.shards(),
+            shards: splitter.shards(),
             scalar_ns,
             batched_ns,
             batched_obs_ns,
@@ -1108,15 +1104,15 @@ fn main() {
     let mut scaling = Vec::new();
     eprintln!("shard scaling on fig5-ctree-full…");
     for shards in [1usize, 2, 4, 8] {
-        let plan = ShardPlan::new(&machine, shards);
-        let split = ShardedTrace::split_pooled(&machine, &plan, &bufs, store.split_pool());
+        let splitter = ShardedReplayer::new(machine, shards);
+        let split = splitter.split_pooled(&bufs, store.split_pool());
         let mut crit_s = Vec::with_capacity(reps.min(6));
         for _ in 0..reps.min(6) {
             let (critical, cycles) = run_sharded_serial(&machine, shards, &split);
             black_box(cycles);
             crit_s.push(critical as f64);
         }
-        scaling.push((plan.shards(), median(&mut crit_s)));
+        scaling.push((splitter.shards(), median(&mut crit_s)));
         store.split_pool().recycle(split);
     }
 
@@ -1202,14 +1198,8 @@ fn main() {
         field.n, field.searches, field.scans
     );
     println!(
-        "  {:<10}{:>12}{:>12}{:>10}{:>10}{:>9}  {}",
-        "case",
-        "search µs",
-        "scan µs",
-        "search x",
-        "scan x",
-        "L1 miss%",
-        "hottest fields (L1 share)"
+        "  {:<10}{:>12}{:>12}{:>10}{:>10}{:>9}  hottest fields (L1 share)",
+        "case", "search µs", "scan µs", "search x", "scan x", "L1 miss%",
     );
     for r in &field.results {
         let hot: Vec<String> = r

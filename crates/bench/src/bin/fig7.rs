@@ -7,8 +7,8 @@
 //! attribution rule on the Table 1 machine.
 //!
 //! The 32 (benchmark × scheme) cells are independent simulations, so they
-//! fan out across the [`Sweep`] runner; results come back in grid order,
-//! which keeps the figure byte-identical to a serial run. Each cell also
+//! fan out across the [`cc_sweep::Sweep`] runner; results come back in grid
+//! order, which keeps the figure byte-identical to a serial run. Each cell also
 //! audits its own final heap (for the hint-taking schemes), so a cell's
 //! result is a handful of numbers and strings rather than a full layout
 //! snapshot — small enough to round-trip a sweep checkpoint file.
@@ -220,7 +220,7 @@ fn main() {
         ),
         (
             "health",
-            Box::new(|s| health::run(s, 3, 500 / scale.max(1).min(8), &machine)),
+            Box::new(|s| health::run(s, 3, 500 / scale.clamp(1, 8), &machine)),
         ),
         (
             "mst",

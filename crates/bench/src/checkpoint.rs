@@ -129,7 +129,7 @@ where
         })
     };
     if let Some(path) = checkpoint {
-        match Sweep::new().run_checkpointed(grid, 1, path, tag, &timed, &encode, &decode) {
+        match Sweep::new().run_checkpointed(grid, 1, path, tag, timed, &encode, &decode) {
             Ok(outcomes) => {
                 return outcomes
                     .into_iter()

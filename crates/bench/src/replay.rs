@@ -23,7 +23,7 @@ use cc_core::ccmorph::CcMorphParams;
 use cc_core::cluster::Order;
 use cc_core::rng::SplitMix64;
 use cc_sim::event::{Event, TraceBuffer};
-use cc_sim::{MachineConfig, ShardDegradation, ShardedReplayer, TraceBuf};
+use cc_sim::{MachineConfig, ShardDegradation, ShardedReplayer, SplitPool, TraceBuf};
 use cc_sweep::{TraceKey, TraceStore};
 use cc_trees::bst::Bst;
 
@@ -144,6 +144,8 @@ pub struct SearchReplay<'a> {
     machine: MachineConfig,
     replayer: ShardedReplayer,
     store: Option<&'a TraceStore>,
+    /// Split buffers for store-less loops; a store brings its own pool.
+    pool: SplitPool,
     key: TraceKey,
     rng: SplitMix64,
     n: u64,
@@ -171,6 +173,7 @@ impl<'a> SearchReplay<'a> {
             machine,
             replayer: ShardedReplayer::new(machine, shards),
             store,
+            pool: SplitPool::new(),
             key: key.machine(&machine).fold(n).fold(seed),
             rng: SplitMix64::new(seed),
             n,
@@ -212,24 +215,19 @@ impl<'a> SearchReplay<'a> {
             crate::obs::bump("replay.searches", count);
             let seg_name = format!("segment[epoch {} @ {}]", self.epoch, self.done);
             crate::obs::span(&seg_name, "replay", 0, || {
-                // Store-backed segments split through the store's
-                // [`cc_sim::SplitPool`]: after replay the per-shard lane
+                // Segments split through a [`SplitPool`] — the store's,
+                // else this loop's own: after replay the per-shard lane
                 // buffers go back to the pool, so a steady-state epoch
                 // allocates no lane storage at all (the pool hands the
                 // same capacity back on the next segment).
-                match self.store {
-                    Some(store) => {
-                        let bufs = store.get_or_generate(seg_key, generate);
-                        let pool = store.split_pool();
-                        let split = self.replayer.split_pooled(&bufs, pool);
-                        self.replayer.replay(&split);
-                        pool.recycle(split);
-                    }
-                    None => {
-                        let split = self.replayer.split(&generate());
-                        self.replayer.replay(&split);
-                    }
-                }
+                let bufs = match self.store {
+                    Some(store) => store.get_or_generate(seg_key, generate),
+                    None => std::sync::Arc::new(generate()),
+                };
+                let pool = self.store.map_or(&self.pool, TraceStore::split_pool);
+                let split = self.replayer.split_pooled(&bufs, pool);
+                self.replayer.replay(&split);
+                pool.recycle(split);
             });
             self.done += count;
         }

@@ -13,12 +13,12 @@
 //!    any interval can be regenerated on demand, bit-identically, in
 //!    O(interval) time. A trace 50× past the full-replay ceiling never
 //!    exists in memory at once.
-//! 2. **Cluster** the signatures ([`cc_sample::cluster`]).
+//! 2. **Cluster** the signatures ([`cc_sample::cluster()`]).
 //! 3. **Replay representatives** behind warmup windows
 //!    ([`cc_sample::replay_representatives`]), regenerating each needed
 //!    interval (representative and warmup predecessors) from its
 //!    checkpoint when it was not retained.
-//! 4. **Extrapolate** ([`cc_sample::extrapolate`]) and, when requested,
+//! 4. **Extrapolate** ([`cc_sample::extrapolate()`]) and, when requested,
 //!    measure per-counter error against a full ground-truth replay.
 //!
 //! Results are cached in the [`TraceStore`]'s sampled side cache, keyed

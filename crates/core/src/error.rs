@@ -5,7 +5,7 @@
 //! external pointers into the middle. A violated guarantee used to mean a
 //! panic or — for a cyclic topology — an unbounded traversal. Every such
 //! violation is now a [`LayoutError`], surfaced by [`crate::try_ccmorph`]
-//! and [`crate::validate_topology`]; the classic [`crate::ccmorph`] stays
+//! and [`crate::validate_topology`]; the classic [`crate::ccmorph()`] stays
 //! infallible by panicking with the error's `Display` text, which renders
 //! the historical assertion messages exactly.
 

@@ -15,7 +15,7 @@
 //!   into a *hot* region of `p` sets and a *cold* region of `C − p` sets,
 //!   and lay addresses out so frequently accessed elements map only to hot
 //!   sets — they can never be evicted by the cold ones.
-//! * [`ccmorph`] — the semi-automatic tool (Section 3.1): given a
+//! * [`ccmorph`](mod@ccmorph) — the semi-automatic tool (Section 3.1): given a
 //!   [`Topology`] (the analogue of the paper's programmer-supplied
 //!   `next_node` function, Figure 3), copy a tree-like structure into a
 //!   contiguous page-aligned region, subtree-clustered and optionally

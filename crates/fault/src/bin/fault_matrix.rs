@@ -408,10 +408,8 @@ fn main() {
     // report captured payloads ourselves.
     std::panic::set_hook(Box::new(|_| {}));
 
-    let planes: [(
-        &str,
-        fn(u64, &mut MetricsRegistry) -> Result<String, String>,
-    ); 5] = [
+    type Plane = fn(u64, &mut MetricsRegistry) -> Result<String, String>;
+    let planes: [(&str, Plane); 5] = [
         ("heap", heap_plane),
         ("morph", morph_plane),
         ("sweep", sweep_plane),

@@ -38,7 +38,7 @@ fn heap_run(seed: u64) -> (Vec<Result<u64, HeapError>>, cc_heap::HeapStats) {
         }
         addrs.push(got);
     }
-    (addrs, heap.stats().clone())
+    (addrs, *heap.stats())
 }
 
 /// A poisoned sweep under the seed's poison set.

@@ -196,7 +196,7 @@ impl CcMalloc {
     /// Caps the pages this heap may claim from its virtual space; `None`
     /// removes the cap. Once the cap is hit, allocations degrade to the
     /// scavenging fallback and finally to
-    /// [`HeapError::PageExhaustion`](crate::HeapError::PageExhaustion).
+    /// [`HeapError::PageExhaustion`].
     pub fn set_page_limit(&mut self, limit: Option<u64>) {
         self.vspace.set_page_limit(limit);
     }

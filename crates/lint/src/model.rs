@@ -1,7 +1,7 @@
 //! Size/alignment resolution: from a parsed [`Ty`] to `(size, align)`
 //! on a 64-bit target.
 //!
-//! Three tiers of knowledge, tracked by [`Resolved::exact`]:
+//! Three tiers of knowledge, tracked by `Resolved::exact`:
 //!
 //! * **guaranteed** — primitives, pointers/references, `repr(C)` structs
 //!   of guaranteed fields, `repr(uN)` fieldless enums, arrays of

@@ -153,7 +153,7 @@ proptest! {
         let s = &report.structs[0];
         prop_assert!(s.optimal_padding <= s.padding, "{}", src);
         prop_assert!(s.optimal_size <= s.size, "{}", src);
-        prop_assert!(s.align > 0 && s.size % s.align == 0, "{}", src);
+        prop_assert!(s.align > 0 && s.size.is_multiple_of(s.align), "{}", src);
         for (_, offset, size, align, _) in &s.fields {
             prop_assert!(align > &0);
             prop_assert_eq!(offset % align, 0, "field misaligned in {}", src);

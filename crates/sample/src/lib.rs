@@ -12,7 +12,7 @@
 //!
 //! The pipeline is four stages, one module each:
 //!
-//! 1. **Fingerprint** ([`signature`]) — slice the packed [`TraceBuf`]
+//! 1. **Fingerprint** ([`signature`]) — slice the packed [`TraceBuf`](cc_sim::TraceBuf)
 //!    stream into fixed-size intervals and reduce each to a cheap
 //!    [`Signature`]: a bucketed block-address footprint vector plus a
 //!    read/write mix, streamed straight off the packed lanes with no
@@ -20,7 +20,7 @@
 //!    [`MissProfile`](cc_obs::MissProfile) per-region miss tallies can be
 //!    folded in ([`Signature::attach_regions`]) to sharpen the phase
 //!    distance with *measured* miss behaviour.
-//! 2. **Cluster** ([`cluster`]) — group the signatures k-medoids-style
+//! 2. **Cluster** ([`cluster`](mod@cluster)) — group the signatures k-medoids-style
 //!    with a deterministic seeded init: same seed and config, same plan,
 //!    bit for bit.
 //! 3. **Replay representatives** ([`replay`]) — each cluster's medoid
@@ -30,7 +30,7 @@
 //!    runs measured. A poisoned representative (fault injection) degrades
 //!    to a neighbouring-interval fallback with counters — never a silent
 //!    wrong number.
-//! 4. **Extrapolate** ([`extrapolate`]) — weight each representative's
+//! 4. **Extrapolate** ([`extrapolate`](mod@extrapolate)) — weight each representative's
 //!    [`Counters`] by its cluster's share of trace events, and report
 //!    per-counter error against an optional full-replay ground truth.
 //!

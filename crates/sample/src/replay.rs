@@ -266,7 +266,11 @@ mod tests {
 
     /// A deterministic synthetic workload with two alternating phases.
     fn interval_bufs(i: usize) -> Arc<Vec<TraceBuf>> {
-        let base = if i % 2 == 0 { 0x1000u64 } else { 0x40_0000 };
+        let base = if i.is_multiple_of(2) {
+            0x1000u64
+        } else {
+            0x40_0000
+        };
         let mut b = TraceBuf::with_capacity(512);
         let mut bufs = Vec::new();
         for j in 0..512u64 {

@@ -24,7 +24,7 @@ fn interval_bufs(phase_word: u64, i: usize) -> Arc<Vec<TraceBuf>> {
     let phase = phase_word % 4;
     let mut b = TraceBuf::with_capacity(256);
     let mut bufs = Vec::new();
-    let mut push = |b: &mut TraceBuf, bufs: &mut Vec<TraceBuf>, ev: Event| {
+    let push = |b: &mut TraceBuf, bufs: &mut Vec<TraceBuf>, ev: Event| {
         if b.is_full() {
             bufs.push(std::mem::replace(b, TraceBuf::with_capacity(256)));
         }

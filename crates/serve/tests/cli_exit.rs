@@ -63,7 +63,7 @@ fn serve_wire_shutdown_exits_zero() {
         .to_string();
 
     let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
-    writeln!(stream, "{}", r#"{"v":1,"id":1,"op":"shutdown"}"#).expect("send");
+    writeln!(stream, r#"{{"v":1,"id":1,"op":"shutdown"}}"#).expect("send");
     let mut reply = String::new();
     BufReader::new(stream.try_clone().expect("clone"))
         .read_line(&mut reply)

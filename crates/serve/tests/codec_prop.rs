@@ -28,7 +28,7 @@ fn gen_json(state: &mut u64, depth: u32) -> Json {
     };
     match pick {
         0 => Json::Null,
-        1 => Json::Bool(mix(state) % 2 == 0),
+        1 => Json::Bool(mix(state).is_multiple_of(2)),
         2 => Json::Uint(mix(state)),
         3 => Json::Int(-((mix(state) % (1 << 62)) as i64) - 1),
         4 => {
@@ -143,7 +143,7 @@ proptest! {
         prop_assert_eq!(Reply::decode(&ok.encode()), Some(ok));
 
         let kind = ErrorKind::ALL[(seed % ErrorKind::ALL.len() as u64) as usize];
-        let err = if seed % 2 == 0 {
+        let err = if seed.is_multiple_of(2) {
             Reply::err(id, kind, format!("m{seed}"))
         } else {
             Reply::err_retry(id, kind, format!("m{seed}"), seed % 10_000)

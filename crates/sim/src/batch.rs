@@ -791,13 +791,10 @@ impl MemorySystem {
         // the TLB is not. For the default space 0 the salt is zero and
         // every key is the bare page number, exactly as before.
         let space_salt = u64::from(buf.space) << 32;
-        // At associativity one there is no replacement choice, so probes
-        // take the stamp-free single-compare path (`Cache::read_direct`).
-        let l1_direct = l1_geo.assoc() == 1;
-        let l2_direct = l2_geo.assoc() == 1;
-        // Adjacent blocks land in distinct sets whenever there are at
-        // least two, which the paired both-hit probe requires.
-        let l1_pair = l1_direct && l1_geo.sets() > 1;
+        // Adjacent blocks land in distinct direct-mapped sets whenever
+        // there are at least two, which the paired both-hit probe requires.
+        let l1_pair = l1_geo.assoc() == 1 && l1_geo.sets() > 1;
+        let read = InlineRead::new(&self.config);
         let mut out = BatchOutcome::default();
         let mut now = now;
         // Demand-read accounting for the paths that don't self-record
@@ -923,34 +920,13 @@ impl MemorySystem {
                             out.cycles += 2 * lat.l1_hit;
                         } else {
                             while b <= last_b {
-                                let l1_hit = if l1_direct {
-                                    self.l1.read_direct(b, &mut l1_tally)
-                                } else {
-                                    self.l1.access(b, false).hit
-                                };
-                                if l1_hit {
-                                    out.cycles += lat.l1_hit;
-                                } else {
-                                    let l2b = l2_geo.block_of(b);
-                                    if cursor.l2_block == l2b {
-                                        // Guaranteed hit on the L2's MRU
-                                        // line; skip the probe and stamp.
-                                        l2_tally.reads += 1;
-                                        out.cycles += lat.l1_hit + lat.l1_miss;
-                                    } else {
-                                        cursor.l2_block = l2b;
-                                        let l2_hit = if l2_direct {
-                                            self.l2.read_direct(b, &mut l2_tally)
-                                        } else {
-                                            self.l2.access(b, false).hit
-                                        };
-                                        if l2_hit {
-                                            out.cycles += lat.l1_hit + lat.l1_miss;
-                                        } else {
-                                            out.cycles += lat.l1_hit + lat.l1_miss + lat.l2_miss;
-                                        }
-                                    }
-                                }
+                                out.cycles += self.read_inline(
+                                    read,
+                                    b,
+                                    &mut cursor.l2_block,
+                                    &mut l1_tally,
+                                    &mut l2_tally,
+                                );
                                 b += block_bytes;
                             }
                         }
@@ -1034,6 +1010,83 @@ impl MemorySystem {
             }
         }
         out
+    }
+
+    /// One demand read of the block holding `addr` on the inline fast
+    /// path, returning its cycles — the per-block read body shared by
+    /// [`MemorySystem::access_batch`] and the shard lanes. At
+    /// associativity one there is no replacement choice, so probes take
+    /// the stamp-free single-compare path (`Cache::read_direct`); an L1
+    /// miss whose L2 block is `l2_memo` (the L2's most-recently-used line,
+    /// a guaranteed hit) skips the L2 probe and stamp. Probes that don't
+    /// self-record tally into `l1_tally` / `l2_tally` for one bulk flush.
+    ///
+    /// Only exact while no prefetch covering the block is in flight and
+    /// while every probe since `l2_memo` was set went through this path;
+    /// the callers reset the memo otherwise.
+    #[inline(always)]
+    pub(crate) fn read_inline(
+        &mut self,
+        read: InlineRead,
+        addr: u64,
+        l2_memo: &mut u64,
+        l1_tally: &mut ReadTally,
+        l2_tally: &mut ReadTally,
+    ) -> u64 {
+        let l1_hit = if read.l1_direct {
+            self.l1.read_direct(addr, l1_tally)
+        } else {
+            self.l1.access(addr, false).hit
+        };
+        if l1_hit {
+            return read.l1_hit;
+        }
+        let l2b = read.l2.block_of(addr);
+        if *l2_memo == l2b {
+            l2_tally.reads += 1;
+            return read.l2_hit;
+        }
+        *l2_memo = l2b;
+        let l2_hit = if read.l2_direct {
+            self.l2.read_direct(addr, l2_tally)
+        } else {
+            self.l2.access(addr, false).hit
+        };
+        if l2_hit {
+            read.l2_hit
+        } else {
+            read.l2_miss
+        }
+    }
+}
+
+/// The machine constants [`MemorySystem::read_inline`] needs, taken once
+/// per batch or lane: reloading them from the system on every probe cost
+/// the batched drain a few percent.
+#[derive(Clone, Copy)]
+pub(crate) struct InlineRead {
+    l2: crate::CacheGeometry,
+    /// Cycles of a read that hits L1.
+    l1_hit: u64,
+    /// Cycles of a read that misses L1 and hits L2.
+    l2_hit: u64,
+    /// Cycles of a read that misses both levels.
+    l2_miss: u64,
+    l1_direct: bool,
+    l2_direct: bool,
+}
+
+impl InlineRead {
+    pub(crate) fn new(machine: &crate::MachineConfig) -> Self {
+        let lat = machine.latency;
+        InlineRead {
+            l2: machine.l2,
+            l1_hit: lat.l1_hit,
+            l2_hit: lat.l1_hit + lat.l1_miss,
+            l2_miss: lat.l1_hit + lat.l1_miss + lat.l2_miss,
+            l1_direct: machine.l1.assoc() == 1,
+            l2_direct: machine.l2.assoc() == 1,
+        }
     }
 }
 
@@ -1610,7 +1663,7 @@ mod tests {
             buf.push(Event::load(0x400, 8));
             buf
         };
-        let mut run = |space: u32| {
+        let run = |space: u32| {
             let mut sys = MemorySystem::new(machine);
             let mut cursor = BatchCursor::new();
             let out = sys.access_batch(&build(space), 0, &mut cursor);

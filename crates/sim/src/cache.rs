@@ -2,7 +2,6 @@
 
 use crate::blockset::BlockSet;
 use crate::geometry::CacheGeometry;
-use crate::kernel;
 use crate::stats::CacheStats;
 
 /// Write policy of one cache level.
@@ -254,32 +253,6 @@ impl Cache {
         false
     }
 
-    /// Whether *all* [`kernel::WIDTH`] probe addresses in `addrs` hit a
-    /// direct-mapped cache, with no side effects — the chunked form of
-    /// [`Cache::read_direct`]'s hit test, built from the pseudo-SIMD lane
-    /// helpers so the whole chunk retires as vector shifts, a gather, and
-    /// one OR-reduced compare.
-    ///
-    /// Soundness is the same argument as [`Cache::hit_pair`], widened:
-    /// direct-mapped read *hits* touch no replacement state, no dirty
-    /// bits, no residency set — only the read counters, which the caller
-    /// accounts in bulk (`WIDTH` guaranteed hits). Probing all lanes
-    /// against a snapshot of the tag array is therefore bit-identical to
-    /// probing them in order, duplicates included (a duplicate's first
-    /// probe would not have changed what its second probe sees). When
-    /// this returns `false`, at least one lane *may* miss and mutate, so
-    /// the caller must redo the whole chunk with the exact in-order
-    /// scalar path. The caller must ensure `geometry().assoc() == 1`.
-    #[inline]
-    pub(crate) fn read_direct_hits(&self, addrs: &[u64; kernel::WIDTH]) -> bool {
-        debug_assert_eq!(self.geometry.assoc(), 1);
-        let (block_shift, set_mask, tag_shift) = self.geometry.probe_fields();
-        let sets = kernel::set_lanes(addrs, block_shift, set_mask);
-        let tags = kernel::tag_lanes(addrs, tag_shift);
-        let resident = kernel::gather(&self.tags, &sets);
-        kernel::all_eq(&resident, &tags)
-    }
-
     /// Whether the blocks containing `a1` and `a2` are *both* resident in
     /// a direct-mapped cache, without any side effects. The batched read
     /// path uses this to retire a two-block reference — the shape of every
@@ -459,27 +432,6 @@ mod tests {
         c.fill(0x40);
         assert_eq!(c.stats().accesses(), 0);
         assert!(c.access(0x40, false).hit);
-    }
-
-    #[test]
-    fn chunked_probe_agrees_with_scalar_hits() {
-        // Fill a direct-mapped cache, then check read_direct_hits against
-        // per-address contains() on mixed hit/miss chunks, including
-        // duplicates within a chunk.
-        let mut c = tiny(16, 1);
-        for a in (0..256u64).step_by(16) {
-            c.fill(a);
-        }
-        let all_hit = [0u64, 16, 32, 48, 0, 240, 128, 64];
-        assert!(all_hit.iter().all(|&a| c.contains(a)));
-        assert!(c.read_direct_hits(&all_hit));
-        let one_miss = [0u64, 16, 32, 48, 0x1000, 240, 128, 64];
-        assert!(!c.contains(0x1000));
-        assert!(!c.read_direct_hits(&one_miss));
-        // The probe itself mutated nothing: the same chunks answer the
-        // same way, and stats recorded no accesses.
-        assert!(c.read_direct_hits(&all_hit));
-        assert_eq!(c.stats().accesses(), 0);
     }
 
     #[test]

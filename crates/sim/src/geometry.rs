@@ -153,18 +153,6 @@ impl CacheGeometry {
         addr >> self.tag_shift
     }
 
-    /// The three probe-field constants `(block_shift, set_mask, tag_shift)`
-    /// as one tuple, for the chunked probe kernel ([`crate::kernel`]): a
-    /// lane loop wants the raw shift/mask values hoisted out of the loop
-    /// rather than a method call per lane. These are exactly the fields
-    /// [`CacheGeometry::set_of`] / [`CacheGeometry::tag_of`] read — and
-    /// exactly the three marked `cc-hot` in the pinned layout, so one
-    /// read of this tuple touches one contiguous 16-byte span.
-    #[inline]
-    pub(crate) fn probe_fields(&self) -> (u32, u64, u32) {
-        (self.block_shift, self.set_mask, self.tag_shift)
-    }
-
     /// Number of structure elements of `elem_bytes` bytes that fit in one
     /// block: the paper's `k = ⌊b/e⌋` (Section 5.3). Returns at least 1 so
     /// that oversized elements still occupy "a" block for analysis purposes.

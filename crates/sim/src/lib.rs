@@ -48,7 +48,6 @@ pub mod event;
 pub mod fasthash;
 pub mod geometry;
 pub mod hierarchy;
-mod kernel;
 pub mod pipeline;
 pub mod prefetch;
 pub mod shard;

@@ -57,27 +57,33 @@
 //! repaired at split time ([`TraceBuf::repair`]) and counted, mirroring
 //! [`crate::batch::BatchSink`]'s validate-repair-fallback contract.
 //!
-//! # Winning on wall-clock, not just the model
+//! # What keeps the wall-clock close to the model
 //!
-//! Three mechanisms keep the *measured* replay time close to the modeled
-//! critical path instead of losing it to overhead:
+//! Two mechanisms remain, each kept because it measurably pays:
 //!
-//! * **Chunked probe kernel.** The lane fast path retires runs of
-//!   [`kernel::WIDTH`] reads as one vectorizable all-hit probe
-//!   ([`crate::cache::Cache::read_direct_hits`]); direct-mapped read hits
-//!   mutate nothing, so the chunk is bit-exact, and any possible miss
-//!   re-runs the chunk on the exact in-order scalar path.
-//! * **Pooled, parallel splits.** [`SplitPool`] recycles `Lane`/`TlbLane`
-//!   buffers across splits (no per-split allocation in the steady state),
-//!   and large splits fan the lane fill out over worker threads — every
-//!   walker derives the same memo state because it is a pure function of
-//!   the stream, so the parallel split is bit-identical to the serial one.
+//! * **Pooled splits.** [`SplitPool`] recycles `Lane`/`TlbLane` buffers
+//!   across splits, so a steady-state split allocates nothing; its only
+//!   work is one serial walk of the stream that fills the lanes.
 //! * **Work-queue replay.** [`ShardedReplayer::replay`] claims lanes from
 //!   an atomic queue in longest-lane-first order with
 //!   `min(cores, shards)` workers (the caller joins after the serial TLB
 //!   lane), so a hot set-shard starts first instead of serializing the
 //!   merge, and a small host never oversubscribes itself with idle
-//!   threads.
+//!   threads. [`ShardedReplayer::replay_serial`] is the same drain with
+//!   one worker: the caller runs every lane inline.
+//!
+//! Two earlier mechanisms were measured out on a shared 2-core Xeon
+//! running the 2-shard fig5 replay benchmark, in alternating pairs of
+//! 30 s runs, on events replayed per second:
+//!
+//! * **Parallel split walkers** fanned large splits out over threads, but
+//!   every walker walked the whole stream to derive the memo state, so a
+//!   2-shard split cost three full walks on two cores. Disabling them won
+//!   6 of 6 pairs (median +17%).
+//! * **A width-8 all-hit probe kernel** retired runs of eight
+//!   direct-mapped reads with one gathered compare. The replay without it
+//!   won 4 of 6 pairs (median +10%): the per-entry path is already one
+//!   compare per direct-mapped hit.
 //!
 //! The whole module is pinned to the scalar and batched engines by
 //! differential property tests (`tests/shard_differential.rs`): identical
@@ -89,14 +95,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::batch::{PackedKind, TraceBuf};
+use crate::batch::{InlineRead, PackedKind, TraceBuf};
 use crate::cache::ReadTally;
-use crate::config::{Latency, MachineConfig};
+use crate::config::MachineConfig;
 use crate::hierarchy::MemorySystem;
-use crate::kernel;
 use crate::stats::{CacheStats, TlbStats};
 use crate::tlb::Tlb;
-use crate::CacheGeometry;
 
 /// "Nothing memoized" sentinel (same convention as the batch cursor).
 const NO_MEMO: u64 = u64::MAX;
@@ -178,26 +182,10 @@ struct Lane {
     /// Event time relative to the split's first event (the replayer adds
     /// its persistent clock), feeding prefetch arrival/wait arithmetic.
     nows: Vec<u64>,
-    /// Maximal runs of consecutive `OP_READ` entries as `(start, end)`
-    /// index pairs, maintained incrementally at push time. This moves the
-    /// chunk-uniformity scan out of the replay loop: a [`kernel::WIDTH`]
-    /// window starting at `i` is all-reads iff `i` lies in a run whose
-    /// end is at least `i + WIDTH`, so [`replay_lane_fast`] walks this
-    /// list with a cursor instead of re-inspecting `WIDTH` op bytes per
-    /// position. `u32` indices: a single split holding 2^32 lane entries
-    /// would be a ≥64 GiB trace segment, far past any segment cap.
-    read_runs: Vec<(u32, u32)>,
 }
 
 impl Lane {
     fn push(&mut self, op: u8, addr: u64, now: u64) {
-        if op == OP_READ {
-            let idx = self.ops.len() as u32;
-            match self.read_runs.last_mut() {
-                Some(run) if run.1 == idx => run.1 = idx + 1,
-                _ => self.read_runs.push((idx, idx + 1)),
-            }
-        }
         self.ops.push(op);
         self.addrs.push(addr);
         self.nows.push(now);
@@ -208,7 +196,6 @@ impl Lane {
         self.ops.clear();
         self.addrs.clear();
         self.nows.clear();
-        self.read_runs.clear();
     }
 }
 
@@ -254,13 +241,13 @@ impl SplitBuffers {
 /// A pool of reusable split buffers, shared across replays (and across
 /// threads — all methods take `&self`).
 ///
-/// [`ShardedTrace::split_pooled`] draws its `Lane`/`TlbLane` vectors from
-/// here instead of allocating, and [`SplitPool::recycle`] returns a
+/// [`ShardedReplayer::split_pooled`] draws its `Lane`/`TlbLane` vectors
+/// from here instead of allocating, and [`SplitPool::recycle`] returns a
 /// consumed split's buffers with their capacity intact. A warm
 /// pool therefore makes the split step allocation-free in the steady
-/// state: the only per-split work left is the (possibly parallel) walk
-/// that fills the lanes. The trace store owns one so every figure sweep
-/// and benchmark shares the same warm buffers.
+/// state: the only per-split work left is the walk that fills the lanes.
+/// The trace store owns one so every figure sweep and benchmark shares
+/// the same warm buffers.
 #[derive(Debug, Default)]
 pub struct SplitPool {
     free: Mutex<Vec<SplitBuffers>>,
@@ -284,7 +271,7 @@ impl SplitPool {
 
     /// Returns a consumed split's buffers to the pool, cleared but with
     /// their capacity intact, ready for the next
-    /// [`ShardedTrace::split_pooled`].
+    /// [`ShardedReplayer::split_pooled`].
     pub fn recycle(&self, split: ShardedTrace) {
         let mut sb = SplitBuffers {
             lanes: split.lanes,
@@ -301,8 +288,8 @@ impl SplitPool {
 }
 
 /// A trace split into per-shard block lanes plus the serial TLB lane —
-/// the reusable product of one [`ShardedTrace::split`] pass, replayable
-/// any number of times (and by any number of fresh replayers).
+/// the reusable product of one [`ShardedReplayer::split_pooled`] pass,
+/// replayable any number of times (and by any number of fresh replayers).
 #[derive(Clone, Debug)]
 pub struct ShardedTrace {
     shards: usize,
@@ -325,45 +312,20 @@ pub struct ShardedTrace {
 
 impl ShardedTrace {
     /// Splits `bufs` into `plan.shards()` block lanes plus the TLB lane,
-    /// resolving the batch cursor's stream-determined memoizations along
-    /// the way (their hits are cycle/statistic constants, so they never
-    /// reach a lane at all). Buffers that fail [`TraceBuf::validate`] are
-    /// repaired on a clone and counted — the splitter's analogue of
-    /// [`crate::batch::BatchSink`]'s corrupt-batch fallback.
-    pub fn split(machine: &MachineConfig, plan: &ShardPlan, bufs: &[TraceBuf]) -> ShardedTrace {
-        Self::split_impl(machine, plan, bufs, true, SplitBuffers::default())
-    }
-
-    /// [`ShardedTrace::split`] drawing its lane buffers from `pool`
-    /// instead of allocating. Bit-identical output; when the pool holds a
-    /// recycled buffer set of comparable capacity, the split performs no
-    /// allocation at all. Return the consumed split with
-    /// [`SplitPool::recycle`] to keep the loop warm.
-    pub fn split_pooled(
-        machine: &MachineConfig,
-        plan: &ShardPlan,
-        bufs: &[TraceBuf],
-        pool: &SplitPool,
-    ) -> ShardedTrace {
-        Self::split_impl(machine, plan, bufs, true, pool.acquire())
-    }
-
-    /// [`ShardedTrace::split`] with the guaranteed-hit memoizations
-    /// disabled: every block probe and page translation reaches a lane.
-    /// Required when the replaying lanes attribute misses — a memo-skip
-    /// is invisible to attribution, so per-region totals would fall
-    /// short of the merged statistics. Cycles and statistics are
-    /// unchanged either way (the memos only skip probes whose outcome
-    /// is already determined).
-    pub fn split_for_attribution(
-        machine: &MachineConfig,
-        plan: &ShardPlan,
-        bufs: &[TraceBuf],
-    ) -> ShardedTrace {
-        Self::split_impl(machine, plan, bufs, false, SplitBuffers::default())
-    }
-
-    fn split_impl(
+    /// filling `buffers` in one walk over the stream. Every event
+    /// decomposes into block probes and page translations; with `memoize`,
+    /// the walk resolves the batch cursor's stream-determined memoizations
+    /// exactly as `access_batch` would at replay (the memos are set by
+    /// loads/stores and cleared by stores/prefetches — pure functions of
+    /// the stream), so their hits are cycle/statistic constants that never
+    /// reach a lane. Without it, every probe and translation reaches a
+    /// lane, as miss attribution requires: a memo-skip is invisible to
+    /// attribution. Cycles and statistics are the same either way.
+    ///
+    /// Buffers that fail [`TraceBuf::validate`] are repaired on a clone and
+    /// counted — the splitter's analogue of [`crate::batch::BatchSink`]'s
+    /// corrupt-batch fallback.
+    fn build(
         machine: &MachineConfig,
         plan: &ShardPlan,
         bufs: &[TraceBuf],
@@ -372,96 +334,133 @@ impl ShardedTrace {
     ) -> ShardedTrace {
         let shards = plan.shards();
         buffers.reset(shards);
-
-        // Repair pre-pass: every walker must see the same repaired stream,
-        // so corrupt buffers are cloned and repaired once, up front.
-        let mut repaired_bufs = 0u64;
-        let mut repaired_entries = 0u64;
-        let mut owned: Vec<TraceBuf> = Vec::new();
-        let mut slots: Vec<Option<usize>> = Vec::with_capacity(bufs.len());
-        for src in bufs {
-            if src.validate().is_ok() {
-                slots.push(None);
+        let mut t = ShardedTrace {
+            shards,
+            lanes: buffers.lanes,
+            tlb_lane: buffers.tlb,
+            base_cycles: 0,
+            l1_memo_reads: 0,
+            tlb_memo_accesses: 0,
+            insts: 0,
+            branches: 0,
+            events: 0,
+            repaired_bufs: 0,
+            repaired_entries: 0,
+        };
+        let lat = machine.latency;
+        let l1_geo = machine.l1;
+        let block_bytes = l1_geo.block_bytes();
+        let track_tlb = machine.tlb_entries > 0;
+        let page_bytes = machine.page_bytes;
+        let page_pow2 = page_bytes.is_power_of_two();
+        let page_shift = page_bytes.trailing_zeros();
+        let page_of = |a: u64| {
+            if page_pow2 {
+                a >> page_shift
             } else {
-                let mut repaired = src.clone();
-                repaired_bufs += 1;
-                repaired_entries += repaired.repair() as u64;
-                slots.push(Some(owned.len()));
-                owned.push(repaired);
+                a / page_bytes
+            }
+        };
+        let mut memo_block = NO_MEMO;
+        let mut memo_page = NO_MEMO;
+        let mut now = 0u64;
+        for src in bufs {
+            let repaired;
+            let buf = if src.validate().is_ok() {
+                src
+            } else {
+                let mut owned = src.clone();
+                t.repaired_bufs += 1;
+                t.repaired_entries += owned.repair() as u64;
+                repaired = owned;
+                &repaired
+            };
+            let salt = u64::from(buf.space()) << 32;
+            let (kinds, addrs, sizes, ticks) = buf.lanes();
+            for i in 0..kinds.len() {
+                let (addr, size) = (addrs[i], sizes[i]);
+                now += 1;
+                t.events += 1;
+                match kinds[i] {
+                    PackedKind::Inst => t.insts += addr,
+                    PackedKind::Branch => t.branches += addr,
+                    PackedKind::Gap => {
+                        now += addr - 1;
+                        t.events += addr - 1;
+                    }
+                    PackedKind::Prefetch => {
+                        t.lanes[plan.shard_of(addr)].push(OP_PREFETCH, addr, now);
+                        memo_block = NO_MEMO;
+                    }
+                    PackedKind::LoadDep | PackedKind::LoadIndep => {
+                        let span = u64::from(size).max(1) - 1;
+                        if track_tlb {
+                            let first_p = page_of(addr);
+                            let last_p = page_of(addr + span);
+                            let mut p = first_p;
+                            if memoize && memo_page == (salt | first_p) {
+                                t.tlb_memo_accesses += 1;
+                                p += 1;
+                            }
+                            while p <= last_p {
+                                t.tlb_lane.ops.push(TLB_LOAD);
+                                t.tlb_lane.pages.push(salt | p);
+                                p += 1;
+                            }
+                            memo_page = salt | last_p;
+                        }
+                        let first_b = l1_geo.block_of(addr);
+                        let last_b = l1_geo.block_of(addr + span);
+                        let mut b = first_b;
+                        if memoize && memo_block == first_b {
+                            t.l1_memo_reads += 1;
+                            t.base_cycles += lat.l1_hit;
+                            b += block_bytes;
+                        }
+                        while b <= last_b {
+                            // Lane entries carry the first referenced byte
+                            // of each block (shard_of and every cache probe
+                            // mask to the block internally), so lane-level
+                            // attribution resolves precise regions and
+                            // fields.
+                            t.lanes[plan.shard_of(b)].push(OP_READ, addr.max(b), now);
+                            b += block_bytes;
+                        }
+                        memo_block = last_b;
+                    }
+                    PackedKind::Store => {
+                        let span = u64::from(size).max(1) - 1;
+                        if track_tlb {
+                            let mut p = page_of(addr);
+                            let last_p = page_of(addr + span);
+                            let mut op = TLB_STORE_FIRST;
+                            while p <= last_p {
+                                t.tlb_lane.ops.push(op);
+                                t.tlb_lane.pages.push(salt | p);
+                                op = TLB_STORE_CONT;
+                                p += 1;
+                            }
+                            memo_page = salt | last_p;
+                        }
+                        let mut b = l1_geo.block_of(addr);
+                        let last_b = l1_geo.block_of(addr + span);
+                        while b <= last_b {
+                            t.lanes[plan.shard_of(b)].push(OP_WRITE, addr.max(b), now);
+                            b += block_bytes;
+                        }
+                        // The scalar write path overrides its cycles to
+                        // `l1_hit` (+ one TLB penalty, accounted by the
+                        // store group in the TLB lane).
+                        t.base_cycles += lat.l1_hit;
+                        memo_block = NO_MEMO;
+                    }
+                }
+                let tick = u64::from(ticks[i]);
+                now += tick;
+                t.events += tick;
             }
         }
-        let refs: Vec<&TraceBuf> = slots
-            .iter()
-            .zip(bufs)
-            .map(|(slot, src)| match slot {
-                Some(i) => &owned[*i],
-                None => src,
-            })
-            .collect();
-
-        let entries: usize = refs.iter().map(|b| b.len()).sum();
-        let threads = std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(shards);
-        let totals = if threads > 1 && entries >= PARALLEL_SPLIT_MIN_ENTRIES {
-            // Parallel fill: each worker walks the whole (shared, read-only)
-            // stream and appends only its own contiguous range of shard
-            // lanes. The memo/routing state every walker needs is a pure
-            // function of the stream, so each derives it identically and
-            // the lanes come out bit-identical to a serial fill. The
-            // caller's own walk produces the TLB lane and the
-            // stream-constant totals concurrently.
-            let per = shards.div_ceil(threads);
-            let lanes = &mut buffers.lanes;
-            let tlb = &mut buffers.tlb;
-            std::thread::scope(|s| {
-                for (g, group) in lanes.chunks_mut(per).enumerate() {
-                    let refs = &refs;
-                    s.spawn(move || {
-                        let lo = g * per;
-                        let hi = lo + group.len();
-                        walk_stream(
-                            machine,
-                            plan,
-                            refs,
-                            memoize,
-                            |shard, op, addr, now| {
-                                if (lo..hi).contains(&shard) {
-                                    group[shard - lo].push(op, addr, now);
-                                }
-                            },
-                            None,
-                        );
-                    });
-                }
-                walk_stream(machine, plan, &refs, memoize, |_, _, _, _| {}, Some(tlb))
-            })
-        } else {
-            let SplitBuffers { lanes, tlb } = &mut buffers;
-            walk_stream(
-                machine,
-                plan,
-                &refs,
-                memoize,
-                |shard, op, addr, now| lanes[shard].push(op, addr, now),
-                Some(tlb),
-            )
-        };
-
-        let SplitBuffers { lanes, tlb } = buffers;
-        ShardedTrace {
-            shards,
-            lanes,
-            tlb_lane: tlb,
-            base_cycles: totals.base_cycles,
-            l1_memo_reads: totals.l1_memo_reads,
-            tlb_memo_accesses: totals.tlb_memo_accesses,
-            insts: totals.insts,
-            branches: totals.branches,
-            events: totals.events,
-            repaired_bufs,
-            repaired_entries,
-        }
+        t
     }
 
     /// The shard count this split was routed for.
@@ -493,151 +492,6 @@ impl ShardedTrace {
     pub fn repaired_entries(&self) -> u64 {
         self.repaired_entries
     }
-}
-
-/// Entry count below which a parallel split is not worth its thread
-/// spawns: a lane walk runs at hundreds of entries per microsecond, so a
-/// stream this small splits serially faster than a thread starts.
-const PARALLEL_SPLIT_MIN_ENTRIES: usize = 1 << 14;
-
-/// Stream-constant totals one full walk produces. Every walker of the
-/// same (repaired) stream derives identical values — they are pure
-/// functions of the event sequence, independent of which lanes the
-/// walker fills.
-#[derive(Debug, Default)]
-struct WalkTotals {
-    base_cycles: u64,
-    l1_memo_reads: u64,
-    tlb_memo_accesses: u64,
-    insts: u64,
-    branches: u64,
-    events: u64,
-}
-
-/// One walk over the (already repaired) stream: decomposes every event
-/// into block probes and page translations, resolving the batch cursor's
-/// stream-determined memoizations exactly as `access_batch` would at
-/// replay (the memos are set by loads/stores and cleared by
-/// stores/prefetches — pure functions of the stream). Each block probe is
-/// handed to `block(shard, op, addr, now)`; the caller decides whether to
-/// append it (and to which lane). Page translations append to `tlb_lane`
-/// when provided; a `None` walker skips all TLB work (parallel lane
-/// fillers only need the block routing) and must ignore the TLB fields of
-/// the returned totals.
-fn walk_stream(
-    machine: &MachineConfig,
-    plan: &ShardPlan,
-    bufs: &[&TraceBuf],
-    memoize: bool,
-    mut block: impl FnMut(usize, u8, u64, u64),
-    mut tlb_lane: Option<&mut TlbLane>,
-) -> WalkTotals {
-    let lat = machine.latency;
-    let l1_geo = machine.l1;
-    let block_bytes = l1_geo.block_bytes();
-    let track_tlb = machine.tlb_entries > 0 && tlb_lane.is_some();
-    let page_bytes = machine.page_bytes;
-    let page_pow2 = page_bytes.is_power_of_two();
-    let page_shift = page_bytes.trailing_zeros();
-    let page_of = |a: u64| {
-        if page_pow2 {
-            a >> page_shift
-        } else {
-            a / page_bytes
-        }
-    };
-    let mut t = WalkTotals::default();
-    let mut memo_block = NO_MEMO;
-    let mut memo_page = NO_MEMO;
-    let mut now = 0u64;
-    for buf in bufs {
-        let salt = u64::from(buf.space()) << 32;
-        let (kinds, addrs, sizes, ticks) = buf.lanes();
-        for i in 0..kinds.len() {
-            let (addr, size) = (addrs[i], sizes[i]);
-            now += 1;
-            t.events += 1;
-            match kinds[i] {
-                PackedKind::Inst => t.insts += addr,
-                PackedKind::Branch => t.branches += addr,
-                PackedKind::Gap => {
-                    now += addr - 1;
-                    t.events += addr - 1;
-                }
-                PackedKind::Prefetch => {
-                    block(plan.shard_of(addr), OP_PREFETCH, addr, now);
-                    memo_block = NO_MEMO;
-                }
-                PackedKind::LoadDep | PackedKind::LoadIndep => {
-                    let span = u64::from(size).max(1) - 1;
-                    if track_tlb {
-                        let tlb = tlb_lane.as_deref_mut().expect("track_tlb implies a lane");
-                        let first_p = page_of(addr);
-                        let last_p = page_of(addr + span);
-                        let mut p = first_p;
-                        if memoize && memo_page == (salt | first_p) {
-                            t.tlb_memo_accesses += 1;
-                            p += 1;
-                        }
-                        while p <= last_p {
-                            tlb.ops.push(TLB_LOAD);
-                            tlb.pages.push(salt | p);
-                            p += 1;
-                        }
-                        memo_page = salt | last_p;
-                    }
-                    let first_b = l1_geo.block_of(addr);
-                    let last_b = l1_geo.block_of(addr + span);
-                    let mut b = first_b;
-                    if memoize && memo_block == first_b {
-                        t.l1_memo_reads += 1;
-                        t.base_cycles += lat.l1_hit;
-                        b += block_bytes;
-                    }
-                    while b <= last_b {
-                        // Lane entries carry the first referenced byte of
-                        // each block (shard_of and every kernel probe mask
-                        // to the block internally), so lane-level
-                        // attribution resolves precise regions and fields.
-                        block(plan.shard_of(b), OP_READ, addr.max(b), now);
-                        b += block_bytes;
-                    }
-                    memo_block = last_b;
-                }
-                PackedKind::Store => {
-                    let span = u64::from(size).max(1) - 1;
-                    if track_tlb {
-                        let tlb = tlb_lane.as_deref_mut().expect("track_tlb implies a lane");
-                        let mut p = page_of(addr);
-                        let last_p = page_of(addr + span);
-                        let mut op = TLB_STORE_FIRST;
-                        while p <= last_p {
-                            tlb.ops.push(op);
-                            tlb.pages.push(salt | p);
-                            op = TLB_STORE_CONT;
-                            p += 1;
-                        }
-                        memo_page = salt | page_of(addr + span);
-                    }
-                    let mut b = l1_geo.block_of(addr);
-                    let last_b = l1_geo.block_of(addr + span);
-                    while b <= last_b {
-                        block(plan.shard_of(b), OP_WRITE, addr.max(b), now);
-                        b += block_bytes;
-                    }
-                    // The scalar write path overrides its cycles to
-                    // `l1_hit` (+ one TLB penalty, accounted by the
-                    // store group in the TLB lane).
-                    t.base_cycles += lat.l1_hit;
-                    memo_block = NO_MEMO;
-                }
-            }
-            let tick = u64::from(ticks[i]);
-            now += tick;
-            t.events += tick;
-        }
-    }
-    t
 }
 
 /// Degradation counters for a [`ShardedReplayer`] — the shard analogue of
@@ -753,29 +607,28 @@ impl ShardedReplayer {
         self.plan.shards()
     }
 
-    /// Splits `bufs` with this replayer's plan and machine, choosing the
-    /// attribution-safe (unmemoized) split automatically while
-    /// attribution is enabled.
+    /// Splits `bufs` with this replayer's plan and machine into fresh
+    /// buffers: [`ShardedReplayer::split_pooled`] with a new, empty pool.
     pub fn split(&self, bufs: &[TraceBuf]) -> ShardedTrace {
-        if self.attribution_enabled() {
-            ShardedTrace::split_for_attribution(&self.machine, &self.plan, bufs)
-        } else {
-            ShardedTrace::split(&self.machine, &self.plan, bufs)
-        }
+        self.split_pooled(bufs, &SplitPool::new())
     }
 
-    /// [`ShardedReplayer::split`] drawing lane buffers from `pool`
-    /// (see [`ShardedTrace::split_pooled`]); the attribution-safe
-    /// unmemoized split is chosen automatically, as in `split`.
+    /// Splits `bufs` with this replayer's plan and machine, drawing lane
+    /// buffers from `pool` instead of allocating. When the pool holds a
+    /// recycled buffer set of comparable capacity, the split performs no
+    /// allocation at all; return the consumed split with
+    /// [`SplitPool::recycle`] to keep the loop warm. While attribution is
+    /// enabled the split keeps every probe (no memoized hits), so
+    /// per-region totals match the merged statistics.
     pub fn split_pooled(&self, bufs: &[TraceBuf], pool: &SplitPool) -> ShardedTrace {
         let memoize = !self.attribution_enabled();
-        ShardedTrace::split_impl(&self.machine, &self.plan, bufs, memoize, pool.acquire())
+        ShardedTrace::build(&self.machine, &self.plan, bufs, memoize, pool.acquire())
     }
 
     /// Starts attributing every lane's accesses and evictions to the
     /// regions of `map`. Workers route through the serial reference
     /// replay (the memoizing fast path cannot observe per-probe
-    /// outcomes), and [`ShardedReplayer::split`] switches to the
+    /// outcomes), and [`ShardedReplayer::split_pooled`] switches to the
     /// unmemoized split; statistics and cycles are unchanged. Splits
     /// produced *before* enabling attribution carry resolved memo hits
     /// that attribution cannot see — re-split for complete totals.
@@ -848,6 +701,42 @@ impl ShardedReplayer {
         split: &ShardedTrace,
         poisoned: &[usize],
     ) -> ShardReplayOutcome {
+        let workers = std::thread::available_parallelism().map_or(1, |nz| nz.get());
+        self.drain(split, poisoned, workers)
+    }
+
+    /// Replays one split segment with every lane run *inline on the caller
+    /// thread*: the [`ShardedReplayer::replay`] work queue drained by one
+    /// worker, with no threads spawned.
+    ///
+    /// Statistics, cycles, and degradation accounting are identical to
+    /// [`ShardedReplayer::replay`] (the lanes touch disjoint state, so
+    /// execution order cannot matter). What changes is what the per-lane
+    /// nanosecond timings *mean*: threaded lanes report wall time, which on
+    /// an oversubscribed host includes time spent descheduled; serial lanes
+    /// report pure uncontended compute. `critical_path_nanos` over a serial
+    /// replay is therefore the modeled one-core-per-shard replay time —
+    /// the number the engine benchmark reports — independent of how many
+    /// cores the measuring host happens to have.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `split` was routed for a different shard count.
+    pub fn replay_serial(&mut self, split: &ShardedTrace) -> ShardReplayOutcome {
+        self.drain(split, &[], 1)
+    }
+
+    /// The one replay loop: drains the lane queue with
+    /// `min(workers, shards)` workers (the caller is one of them, after the
+    /// TLB lane), then merges the lane outcomes, the split-resolved memo
+    /// tallies, and the TLB lane's bulk counts — an order-insensitive
+    /// reduction.
+    fn drain(
+        &mut self,
+        split: &ShardedTrace,
+        poisoned: &[usize],
+        workers: usize,
+    ) -> ShardReplayOutcome {
         assert_eq!(
             split.shards,
             self.lanes.len(),
@@ -859,9 +748,7 @@ impl ShardedReplayer {
         // Longest-lane-first claim order (ties by index, stable).
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(split.lanes[i].ops.len()));
-        let workers = std::thread::available_parallelism()
-            .map_or(1, |nz| nz.get())
-            .min(n);
+        let workers = workers.min(n);
 
         // Each lane's state sits behind a mutex claimed exactly once per
         // replay (via the atomic index, so the locks are uncontended);
@@ -904,72 +791,15 @@ impl ShardedReplayer {
             drain();
             (c, a, m, nanos)
         });
-        let outcomes: Vec<LaneOutcome> = slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("lane slot")
-                    .outcome
-                    .expect("every lane was claimed from the queue")
-            })
-            .collect();
 
-        self.merge_segment(split, &outcomes, tlb_cycles, tlb_acc, tlb_miss, tlb_nanos)
-    }
-
-    /// Replays one split segment with every lane run *inline on the caller
-    /// thread*, in shard order — no worker threads.
-    ///
-    /// Statistics, cycles, and degradation accounting are identical to
-    /// [`ShardedReplayer::replay`] (the lanes touch disjoint state, so
-    /// execution order cannot matter). What changes is what the per-lane
-    /// nanosecond timings *mean*: threaded lanes report wall time, which on
-    /// an oversubscribed host includes time spent descheduled; serial lanes
-    /// report pure uncontended compute. `critical_path_nanos` over a serial
-    /// replay is therefore the modeled one-core-per-shard replay time —
-    /// the number the engine benchmark reports — independent of how many
-    /// cores the measuring host happens to have.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `split` was routed for a different shard count.
-    pub fn replay_serial(&mut self, split: &ShardedTrace) -> ShardReplayOutcome {
-        assert_eq!(
-            split.shards,
-            self.lanes.len(),
-            "split shard count does not match this replayer"
-        );
-        let base_now = self.now;
-        let tlb_miss_lat = self.machine.latency.tlb_miss;
-        let outcomes: Vec<LaneOutcome> = self
-            .lanes
-            .iter_mut()
-            .zip(&split.lanes)
-            .map(|(sys, lane)| run_lane(sys, lane, base_now, false))
-            .collect();
-        let start = Instant::now();
-        let (tlb_cycles, tlb_acc, tlb_miss) = match &mut self.tlb {
-            Some(tlb) => replay_tlb_lane(tlb, &split.tlb_lane, tlb_miss_lat),
-            None => (0, 0, 0),
-        };
-        let tlb_nanos = start.elapsed().as_nanos() as u64;
-        self.merge_segment(split, &outcomes, tlb_cycles, tlb_acc, tlb_miss, tlb_nanos)
-    }
-
-    /// The shared merge tail: order-insensitive reduction of lane outcomes
-    /// plus the split-resolved memo tallies and TLB bulk counts.
-    fn merge_segment(
-        &mut self,
-        split: &ShardedTrace,
-        outcomes: &[LaneOutcome],
-        tlb_cycles: u64,
-        tlb_acc: u64,
-        tlb_miss: u64,
-        tlb_nanos: u64,
-    ) -> ShardReplayOutcome {
         let mut seg_cycles = split.base_cycles + tlb_cycles;
-        let mut lane_nanos = Vec::with_capacity(outcomes.len());
-        for o in outcomes {
+        let mut lane_nanos = Vec::with_capacity(n);
+        for slot in slots {
+            let o = slot
+                .into_inner()
+                .expect("lane slot")
+                .outcome
+                .expect("every lane was claimed from the queue");
             seg_cycles += o.cycles;
             lane_nanos.push(o.nanos);
             self.degradation.worker_panics += u64::from(o.panicked);
@@ -1129,145 +959,29 @@ fn run_lane(sys: &mut MemorySystem, lane: &Lane, base_now: u64, poison: bool) ->
     }
 }
 
-/// One `OP_READ` on the memoizing scalar path — the per-block body of
-/// [`MemorySystem::access_batch`]'s read handling, shared by the
-/// per-entry loop and the chunk-miss fallback in [`replay_lane_fast`].
-/// Only valid while no prefetch is in flight (the caller checks).
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn scalar_read(
-    sys: &mut MemorySystem,
-    addr: u64,
-    lat: Latency,
-    l1_direct: bool,
-    l2_direct: bool,
-    l2_geo: CacheGeometry,
-    cycles: &mut u64,
-    l1_tally: &mut ReadTally,
-    l2_tally: &mut ReadTally,
-    l2_memo: &mut u64,
-) {
-    let l1_hit = if l1_direct {
-        sys.l1.read_direct(addr, l1_tally)
-    } else {
-        sys.l1.access(addr, false).hit
-    };
-    if l1_hit {
-        *cycles += lat.l1_hit;
-    } else {
-        let l2b = l2_geo.block_of(addr);
-        if *l2_memo == l2b {
-            l2_tally.reads += 1;
-            *cycles += lat.l1_hit + lat.l1_miss;
-        } else {
-            *l2_memo = l2b;
-            let l2_hit = if l2_direct {
-                sys.l2.read_direct(addr, l2_tally)
-            } else {
-                sys.l2.access(addr, false).hit
-            };
-            *cycles += lat.l1_hit + lat.l1_miss;
-            if !l2_hit {
-                *cycles += lat.l2_miss;
-            }
-        }
-    }
-}
-
-/// The lane fast path: the per-block body of
-/// [`MemorySystem::access_batch`], restricted to this shard's blocks.
-/// Guaranteed-hit shortcuts (the lane-local L2 memo) follow the same MRU
-/// argument as the batch cursor — sound here because no other lane can
-/// touch this shard's sets.
-///
-/// On top of the scalar body, runs of [`kernel::WIDTH`] consecutive reads
-/// (the dominant shape of a pointer-chase lane) retire through the
-/// chunked probe [`crate::cache::Cache::read_direct_hits`]: when every
-/// chunk lane hits a direct-mapped L1, the whole chunk is `WIDTH`
-/// guaranteed hits — `WIDTH · l1_hit` cycles and `WIDTH` tallied reads,
-/// no state change, bit-exact by the hits-don't-mutate argument. A chunk
-/// that may miss is re-run on the exact in-order scalar path (reads never
-/// change the in-flight set, so the run stays a read run), and the L2
-/// memo is untouched either way, exactly as a run of scalar L1 hits
-/// would leave it.
-///
-/// Chunk *eligibility* comes precomputed: the splitter segments each
-/// lane into maximal read runs ([`Lane::read_runs`]) as it pushes
-/// entries, so this loop advances a run cursor instead of scanning
-/// `WIDTH` op bytes per position. The decisions are identical to the
-/// old per-window [`kernel::all_op`] scan — a window crossing a maximal
-/// run's boundary contains a non-read and always failed the scan, a
-/// window inside a run always passed — which the pooled == eager ==
-/// batched == scalar differential proptests pin.
+/// The lane fast path: [`MemorySystem::access_batch`]'s per-block read
+/// body ([`MemorySystem::read_inline`]), restricted to this shard's
+/// blocks. The lane-local L2 memo follows the same MRU argument as the
+/// batch cursor — sound here because no other lane can touch this shard's
+/// sets. Once a prefetch is in flight, reads take the exact slow path, as
+/// they do in `access_batch`.
 fn replay_lane_fast(sys: &mut MemorySystem, lane: &Lane, base_now: u64) -> u64 {
-    let lat = sys.config.latency;
-    let l1_direct = sys.config.l1.assoc() == 1;
-    let l2_direct = sys.config.l2.assoc() == 1;
-    let l2_geo = sys.config.l2;
     let mut cycles = 0u64;
     let mut l1_tally = ReadTally::default();
     let mut l2_tally = ReadTally::default();
     let mut l2_memo = NO_MEMO;
     let mut no_inflight = sys.inflight.is_empty();
-    let n = lane.ops.len();
-    let runs = &lane.read_runs;
-    let mut run = 0usize;
-    let mut i = 0usize;
-    while i < n {
-        while run < runs.len() && runs[run].1 as usize <= i {
-            run += 1;
-        }
-        let in_chunkable_run = run < runs.len()
-            && runs[run].0 as usize <= i
-            && runs[run].1 as usize - i >= kernel::WIDTH;
-        if l1_direct && no_inflight && in_chunkable_run {
-            debug_assert!(kernel::all_op(&lane.ops[i..i + kernel::WIDTH], OP_READ));
-            let addrs: &[u64; kernel::WIDTH] = lane.addrs[i..i + kernel::WIDTH]
-                .try_into()
-                .expect("chunk width");
-            if sys.l1.read_direct_hits(addrs) {
-                l1_tally.reads += kernel::WIDTH as u64;
-                cycles += lat.l1_hit * kernel::WIDTH as u64;
-            } else {
-                for j in i..i + kernel::WIDTH {
-                    scalar_read(
-                        sys,
-                        lane.addrs[j],
-                        lat,
-                        l1_direct,
-                        l2_direct,
-                        l2_geo,
-                        &mut cycles,
-                        &mut l1_tally,
-                        &mut l2_tally,
-                        &mut l2_memo,
-                    );
-                }
-            }
-            i += kernel::WIDTH;
-            continue;
-        }
+    let read = InlineRead::new(&sys.config);
+    for i in 0..lane.ops.len() {
         let addr = lane.addrs[i];
         match lane.ops[i] {
+            OP_READ if no_inflight => {
+                cycles += sys.read_inline(read, addr, &mut l2_memo, &mut l1_tally, &mut l2_tally);
+            }
             OP_READ => {
-                if no_inflight {
-                    scalar_read(
-                        sys,
-                        addr,
-                        lat,
-                        l1_direct,
-                        l2_direct,
-                        l2_geo,
-                        &mut cycles,
-                        &mut l1_tally,
-                        &mut l2_tally,
-                        &mut l2_memo,
-                    );
-                } else {
-                    sys.access_block(addr, false, base_now + lane.nows[i], &mut cycles);
-                    l2_memo = NO_MEMO;
-                    no_inflight = sys.inflight.is_empty();
-                }
+                sys.access_block(addr, false, base_now + lane.nows[i], &mut cycles);
+                l2_memo = NO_MEMO;
+                no_inflight = sys.inflight.is_empty();
             }
             OP_WRITE => {
                 let mut discard = 0u64;
@@ -1280,7 +994,6 @@ fn replay_lane_fast(sys: &mut MemorySystem, lane: &Lane, base_now: u64) -> u64 {
                 l2_memo = NO_MEMO;
             }
         }
-        i += 1;
     }
     if l1_tally.any() {
         sys.l1.stats_mut().add_read_tally(&l1_tally);
@@ -1355,7 +1068,7 @@ fn replay_tlb_lane(tlb: &mut Tlb, lane: &TlbLane, tlb_miss_lat: u64) -> (u64, u6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Event, EventSink, TraceBuffer};
+    use crate::event::{Event, EventSink};
     use crate::{MachineConfig, MemorySink};
 
     /// A unit-test machine with a 4-bit L1∩L2 set-field overlap (up to 16
@@ -1613,32 +1326,30 @@ mod tests {
         let bufs = pack(&events);
         let pool = SplitPool::new();
         for shards in [1usize, 3, 4, 8] {
-            let plan = ShardPlan::new(&machine, shards);
-            let eager = ShardedTrace::split(&machine, &plan, &bufs);
-            let pooled = ShardedTrace::split_pooled(&machine, &plan, &bufs, &pool);
-            // Lane-for-lane, entry-for-entry identical to the eager split.
-            assert_eq!(pooled.lanes.len(), eager.lanes.len());
-            for (p, e) in pooled.lanes.iter().zip(&eager.lanes) {
+            let r = ShardedReplayer::new(machine, shards);
+            let fresh = r.split(&bufs);
+            let pooled = r.split_pooled(&bufs, &pool);
+            // Lane-for-lane, entry-for-entry identical to the fresh split.
+            assert_eq!(pooled.lanes.len(), fresh.lanes.len());
+            for (p, e) in pooled.lanes.iter().zip(&fresh.lanes) {
                 assert_eq!(p.ops, e.ops);
                 assert_eq!(p.addrs, e.addrs);
                 assert_eq!(p.nows, e.nows);
-                assert_eq!(p.read_runs, e.read_runs);
             }
-            assert_eq!(pooled.tlb_lane.ops, eager.tlb_lane.ops);
-            assert_eq!(pooled.tlb_lane.pages, eager.tlb_lane.pages);
-            assert_eq!(pooled.base_cycles, eager.base_cycles);
-            assert_eq!(pooled.l1_memo_reads, eager.l1_memo_reads);
-            assert_eq!(pooled.tlb_memo_accesses, eager.tlb_memo_accesses);
-            assert_eq!(pooled.events, eager.events);
+            assert_eq!(pooled.tlb_lane.ops, fresh.tlb_lane.ops);
+            assert_eq!(pooled.tlb_lane.pages, fresh.tlb_lane.pages);
+            assert_eq!(pooled.base_cycles, fresh.base_cycles);
+            assert_eq!(pooled.l1_memo_reads, fresh.l1_memo_reads);
+            assert_eq!(pooled.tlb_memo_accesses, fresh.tlb_memo_accesses);
+            assert_eq!(pooled.events, fresh.events);
             pool.recycle(pooled);
             // The recycled buffers go back to the pool and come out again.
             assert_eq!(pool.idle(), 1);
         }
-        let plan = ShardPlan::new(&machine, 4);
-        let again = ShardedTrace::split_pooled(&machine, &plan, &bufs, &pool);
+        let mut r = ShardedReplayer::new(machine, 4);
+        let again = r.split_pooled(&bufs, &pool);
         assert_eq!(pool.idle(), 0, "the warm buffer set was taken, not leaked");
         let scalar = scalar_reference(machine, &events);
-        let mut r = ShardedReplayer::new(machine, 4);
         r.replay(&again);
         assert_eq!(r.l1_stats(), scalar.system().l1_stats());
         assert_eq!(r.memory_cycles(), scalar.memory_cycles());
@@ -1652,42 +1363,18 @@ mod tests {
         let mut bufs = pack(&chase(31));
         bufs[1].inject_fault(&TraceFault::TruncateAddrLane { keep: 2 });
         let pool = SplitPool::new();
-        let plan = ShardPlan::new(&machine, 4);
-        let eager = ShardedTrace::split(&machine, &plan, &bufs);
-        let pooled = ShardedTrace::split_pooled(&machine, &plan, &bufs, &pool);
-        assert_eq!(pooled.repaired_bufs(), eager.repaired_bufs());
-        assert_eq!(pooled.repaired_entries(), eager.repaired_entries());
         let mut a = ShardedReplayer::new(machine, 4);
         let mut b = ShardedReplayer::new(machine, 4);
-        a.replay(&eager);
+        let fresh = a.split(&bufs);
+        let pooled = b.split_pooled(&bufs, &pool);
+        assert_eq!(pooled.repaired_bufs(), fresh.repaired_bufs());
+        assert_eq!(pooled.repaired_entries(), fresh.repaired_entries());
+        a.replay(&fresh);
         b.replay(&pooled);
         assert_eq!(a.l1_stats(), b.l1_stats());
         assert_eq!(a.l2_stats(), b.l2_stats());
         assert_eq!(a.tlb_stats(), b.tlb_stats());
         assert_eq!(a.memory_cycles(), b.memory_cycles());
-    }
-
-    #[test]
-    fn parallel_split_matches_the_serial_walk() {
-        // A stream long enough to clear PARALLEL_SPLIT_MIN_ENTRIES, so the
-        // parallel fill actually engages on multi-core hosts (on a 1-core
-        // host both sides take the serial walk — still a valid identity).
-        let machine = overlapped();
-        let mut events = Vec::new();
-        for seed in 0..48 {
-            events.extend(chase(1000 + seed));
-        }
-        assert!(events.len() >= PARALLEL_SPLIT_MIN_ENTRIES);
-        let bufs = pack(&events);
-        let plan = ShardPlan::new(&machine, 5);
-        let split = ShardedTrace::split(&machine, &plan, &bufs);
-        let scalar = scalar_reference(machine, &events);
-        let mut r = ShardedReplayer::new(machine, 5);
-        r.replay(&split);
-        assert_eq!(r.l1_stats(), scalar.system().l1_stats());
-        assert_eq!(r.l2_stats(), scalar.system().l2_stats());
-        assert_eq!(r.tlb_stats(), scalar.system().tlb_stats());
-        assert_eq!(r.memory_cycles(), scalar.memory_cycles());
     }
 
     #[test]

@@ -95,9 +95,9 @@ fn pack(events: &[Event], space: u32) -> Vec<TraceBuf> {
 
 /// The tri-engine check: scalar vs batched vs sharded (the latter split
 /// into two segments so persistent shard state crosses a boundary). The
-/// sharded engine runs twice — once over eager splits and once over
-/// pooled splits whose second segment reuses the first segment's
-/// recycled lane buffers — and the two must agree exactly.
+/// sharded engine runs twice — once over splits into fresh buffers and
+/// once over pooled splits whose second segment reuses the first
+/// segment's recycled lane buffers — and the two must agree exactly.
 fn check_tri(machine: MachineConfig, trace: &[Event], shards: usize) -> Result<(), TestCaseError> {
     let mut scalar = MemorySink::new(machine);
     let mut batched = BatchSink::with_capacity(machine, 7);
@@ -114,8 +114,8 @@ fn check_tri(machine: MachineConfig, trace: &[Event], shards: usize) -> Result<(
         sharded.replay(&split);
     }
 
-    // Same segments through the zero-copy pooled splitter: segment `b`
-    // splits into the very buffers segment `a` handed back.
+    // Same segments through one shared pool: segment `b` splits into the
+    // very buffers segment `a` handed back.
     let pool = SplitPool::new();
     let mut pooled = ShardedReplayer::new(machine, shards);
     for seg in [a, b] {
@@ -127,7 +127,7 @@ fn check_tri(machine: MachineConfig, trace: &[Event], shards: usize) -> Result<(
     prop_assert_eq!(
         pooled.l1_stats(),
         sharded.l1_stats(),
-        "pooled split diverged from eager split at {} shards",
+        "pooled split diverged from fresh split at {} shards",
         shards
     );
     prop_assert_eq!(pooled.l2_stats(), sharded.l2_stats(), "pooled L2");
@@ -217,7 +217,9 @@ proptest! {
 
     /// `TraceCorruption` faults: the splitter repairs corrupt buffers and
     /// continues; the result must equal the scalar replay of the repaired
-    /// stream, and the repair must be counted.
+    /// stream, and the repair must be counted. The split runs twice
+    /// through one pool: round one fills fresh buffers, round two splits
+    /// the corrupt buffers into lane storage recycled from round one.
     #[test]
     fn sharded_survives_trace_faults(
         words in prop::collection::vec(any::<u64>(), 60..300),
@@ -247,48 +249,6 @@ proptest! {
             scalar.event(ev);
         }
 
-        let mut sharded = ShardedReplayer::new(machine, shards);
-        let split = sharded.split(&bufs);
-        prop_assert_eq!(split.repaired_bufs(), u64::from(structural));
-        sharded.replay(&split);
-        prop_assert_eq!(sharded.degradation().repaired_bufs, u64::from(structural));
-        prop_assert_eq!(sharded.l1_stats(), scalar.system().l1_stats());
-        prop_assert_eq!(sharded.l2_stats(), scalar.system().l2_stats());
-        prop_assert_eq!(sharded.tlb_stats(), scalar.system().tlb_stats());
-        prop_assert_eq!(sharded.memory_cycles(), scalar.memory_cycles());
-    }
-
-    /// `TraceCorruption` faults through the *pooled* splitter, twice over
-    /// the same pool: round two splits the corrupt buffers into lane
-    /// storage recycled from round one, and both rounds must repair and
-    /// match the scalar replay of the repaired stream exactly.
-    #[test]
-    fn pooled_split_survives_trace_faults(
-        words in prop::collection::vec(any::<u64>(), 60..300),
-        shards in 1usize..9,
-        fault_sel in any::<u64>(),
-    ) {
-        let machine = writeback_overlapped();
-        let mut bufs = pack(&decode_trace(&words), 0);
-        let victim = (fault_sel as usize) % bufs.len();
-        let fault = match fault_sel % 3 {
-            0 => TraceFault::TruncateAddrLane { keep: (fault_sel >> 8) as usize % 7 },
-            1 => TraceFault::ZeroGapRun { entry: (fault_sel >> 8) as usize },
-            _ => TraceFault::ScrambleAddrs { seed: fault_sel >> 8 },
-        };
-        bufs[victim].inject_fault(&fault);
-        let structural = bufs[victim].validate().is_err();
-
-        let mut repaired = bufs.clone();
-        for buf in &mut repaired {
-            buf.repair();
-        }
-        let ref_events: Vec<Event> = repaired.iter().flat_map(|b| b.events()).collect();
-        let mut scalar = MemorySink::new(machine);
-        for &ev in &ref_events {
-            scalar.event(ev);
-        }
-
         let pool = SplitPool::new();
         for round in 0..2 {
             let mut sharded = ShardedReplayer::new(machine, shards);
@@ -296,8 +256,9 @@ proptest! {
             prop_assert_eq!(split.repaired_bufs(), u64::from(structural));
             sharded.replay(&split);
             pool.recycle(split);
+            prop_assert_eq!(sharded.degradation().repaired_bufs, u64::from(structural));
             prop_assert_eq!(sharded.l1_stats(), scalar.system().l1_stats(),
-                "pooled fault round {}", round);
+                "fault round {}", round);
             prop_assert_eq!(sharded.l2_stats(), scalar.system().l2_stats());
             prop_assert_eq!(sharded.tlb_stats(), scalar.system().tlb_stats());
             prop_assert_eq!(sharded.memory_cycles(), scalar.memory_cycles());

@@ -181,7 +181,7 @@ pub struct TraceStore {
     /// traces themselves: a sweep that replays many cached traces splits
     /// each one into lanes, and recycling those lane vectors here makes
     /// the steady-state split allocation-free
-    /// ([`cc_sim::ShardedTrace::split_pooled`]).
+    /// ([`cc_sim::ShardedReplayer::split_pooled`]).
     split_pool: SplitPool,
 }
 
@@ -208,7 +208,6 @@ impl TraceStore {
     }
 
     /// The store's shared shard-split buffer pool. Pass it to
-    /// [`cc_sim::ShardedTrace::split_pooled`] /
     /// [`cc_sim::ShardedReplayer::split_pooled`] and return consumed
     /// splits with [`SplitPool::recycle`]; every sweep worker sharing
     /// this store then shares one warm set of lane buffers.
