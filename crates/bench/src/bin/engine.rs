@@ -78,14 +78,14 @@
 
 use cc_bench::field::{run_field_sweep, FieldCase, FieldSweep};
 use cc_bench::header;
-use cc_bench::replay::{build_bst, pack_chunks, pack_full, TreeSpec};
+use cc_bench::replay::{build_bst, TreeSpec};
 use cc_bench::sample::{SampledReplay, SampledSpec};
 use cc_core::rng::SplitMix64;
 use cc_sample::{error_report, replay_full, SampleConfig};
 use cc_sim::batch::{BatchCursor, BatchSink, TraceBuf};
 use cc_sim::event::{EventSink, TraceBuffer};
 use cc_sim::shard::ShardedTrace;
-use cc_sim::{MachineConfig, MemorySink, MemorySystem, ShardedReplayer};
+use cc_sim::{MachineConfig, MemorySink, MemorySystem, ShardedReplayer, TraceRecorder};
 use cc_sweep::{TraceKey, TraceStore};
 use criterion::black_box;
 use std::io::Write;
@@ -251,12 +251,12 @@ fn run_sampled_sweep(machine: &MachineConfig, quick: bool) -> SampledSweep {
     let mut rng = SplitMix64::new(seed);
     let mut interval = |i: usize| {
         let count = per.min(searches - i as u64 * per);
-        let mut buf = TraceBuffer::new();
+        let mut rec = TraceRecorder::new();
         for _ in 0..count {
             let key = 2 * rng.below(n);
-            tree.search(key, &mut buf, false);
+            tree.search(key, &mut rec, false);
         }
-        Arc::new(pack_full(&buf))
+        Arc::new(rec.finish())
     };
     let intervals = searches.div_ceil(per) as usize;
     let (full, _) = replay_full(machine, SHARDS, intervals, &mut interval);
@@ -341,13 +341,13 @@ fn recorded_bufs(
     let n = (1u64 << spec.bits) - 1;
     store.get_or_generate(trace_key(machine, spec), || {
         let t = build_bst(machine, n, spec.tree);
-        let mut buf = TraceBuffer::new();
+        let mut rec = TraceRecorder::new();
         let mut rng = SplitMix64::new(0x51EE7);
         for _ in 0..spec.searches {
             let key = 2 * rng.below(n);
-            t.search(key, &mut buf, spec.sw_prefetch);
+            t.search(key, &mut rec, spec.sw_prefetch);
         }
-        pack_full(&buf)
+        rec.finish()
     })
 }
 
@@ -500,7 +500,7 @@ fn assert_engines_agree(
         );
         assert_eq!(
             sharded.insts(),
-            scalar.insts(),
+            scalar.insts() + chunks.iter().map(TraceBuf::insts).sum::<u64>(),
             "{name}: sharded ({tag}) instruction totals diverged from scalar"
         );
         assert_eq!(
@@ -996,19 +996,19 @@ fn main() {
             spec.name, spec.layout, spec.searches
         );
         let bufs = recorded_bufs(&machine, spec, &store);
-        // Rebuild the flat event stream for the scalar engine and the
-        // tick-folded chunks for the batched drain — both once, outside
-        // the timed region, exactly like packing.
+        let chunks: &[TraceBuf] = &bufs;
+        // Rebuild the flat event stream for the scalar engine once,
+        // outside the timed region. Folded instruction and branch events
+        // decode with count 0; their counts stay in the chunk totals.
         let mut trace = TraceBuffer::new();
-        for buf in bufs.iter() {
+        for buf in chunks {
             for ev in buf.events() {
                 trace.event(ev);
             }
         }
-        let chunks = pack_chunks(&trace);
         let splitter = ShardedReplayer::new(machine, SHARDS);
-        let split = splitter.split_pooled(&bufs, store.split_pool());
-        assert_engines_agree(&machine, spec.name, &trace, &chunks, &split);
+        let split = splitter.split_pooled(chunks, store.split_pool());
+        assert_engines_agree(&machine, spec.name, &trace, chunks, &split);
 
         // Round-robin the engines `reps` times and keep every sample, so
         // any slow drift in host load is shared instead of biasing one
@@ -1024,10 +1024,10 @@ fn main() {
             black_box(run_scalar(black_box(&machine), black_box(&trace)));
             scalar_s.push(start.elapsed().as_secs_f64());
             let start = Instant::now();
-            black_box(run_batched(black_box(&machine), black_box(&chunks)));
+            black_box(run_batched(black_box(&machine), black_box(chunks)));
             batched_s.push(start.elapsed().as_secs_f64());
             let start = Instant::now();
-            black_box(run_batched_obs(black_box(&machine), black_box(&chunks)));
+            black_box(run_batched_obs(black_box(&machine), black_box(chunks)));
             batched_obs_s.push(start.elapsed().as_secs_f64());
             let (critical, cycles) =
                 run_sharded_serial(black_box(&machine), SHARDS, black_box(&split));

@@ -33,8 +33,7 @@ use cc_bench::header;
 use cc_bench::replay::{build_bst, SearchReplay, TreeSpec};
 use cc_core::ccmorph::CcMorphParams;
 use cc_heap::VirtualSpace;
-use cc_sim::event::TraceBuffer;
-use cc_sim::MachineConfig;
+use cc_sim::{MachineConfig, TraceRecorder};
 use cc_sweep::{Sweep, TraceKey, TraceStore};
 use cc_trees::bst::Bst;
 use cc_trees::btree::BTree;
@@ -57,7 +56,7 @@ fn keys(n: u64) -> u64 {
 /// closure is never invoked.
 fn measure<F>(env: &CellEnv, key: TraceKey, mut search: F) -> Vec<f64>
 where
-    F: FnMut(u64, &mut TraceBuffer),
+    F: FnMut(u64, &mut TraceRecorder),
 {
     let mut replay = SearchReplay::new(
         env.machine,

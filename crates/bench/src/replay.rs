@@ -8,11 +8,15 @@
 //!
 //! * [`TreeSpec`] / [`build_bst`] — every fig5/engine layout recipe as
 //!   data (randomize, then depth-first repack, then `ccmorph`),
-//! * [`pack_chunks`] — folding a recorded [`TraceBuffer`] into coalesced
-//!   [`TraceBuf`] chunks exactly the way `BatchSink` would,
 //! * [`SearchReplay`] — the measurement loop itself: draw keys, record
 //!   (or fetch from a [`TraceStore`]) a trace segment, and replay it
 //!   through a persistent [`ShardedReplayer`].
+//!
+//! Searches record straight into packed [`TraceBuf`] chunks through a
+//! [`TraceRecorder`], which folds each instruction and branch event into
+//! the preceding entry and the chunk's totals as it arrives. There is no
+//! intermediate event list and no repack pass; [`pack_full`] is only an
+//! adapter for callers that already hold a [`TraceBuffer`].
 //!
 //! The segment protocol is warm-hit invariant: each segment's search keys
 //! are drawn from the RNG *before* the store is consulted, so the RNG
@@ -22,8 +26,10 @@
 use cc_core::ccmorph::CcMorphParams;
 use cc_core::cluster::Order;
 use cc_core::rng::SplitMix64;
-use cc_sim::event::{Event, TraceBuffer};
-use cc_sim::{MachineConfig, ShardDegradation, ShardedReplayer, SplitPool, TraceBuf};
+use cc_sim::event::TraceBuffer;
+use cc_sim::{
+    MachineConfig, ShardDegradation, ShardedReplayer, SplitPool, TraceBuf, TraceRecorder,
+};
 use cc_sweep::{TraceKey, TraceStore};
 use cc_trees::bst::Bst;
 
@@ -71,57 +77,16 @@ pub fn build_bst(machine: &MachineConfig, n: u64, spec: TreeSpec) -> Bst {
     t
 }
 
-/// Packs a recorded trace into coalesced fixed-capacity chunks: runs of
-/// instruction/branch events fold into the preceding entry's tick count
-/// (exactly what `BatchSink` does during replay, done once up front).
-pub fn pack_chunks(trace: &TraceBuffer) -> Vec<TraceBuf> {
-    let mut chunks = Vec::new();
-    let mut cur = TraceBuf::with_capacity(4096);
-    let mut run = 0u64;
-    for &ev in trace.events() {
-        match ev {
-            Event::Inst(_) | Event::Branch(_) => run += 1,
-            _ => {
-                if run > 0 {
-                    cur.push_ticks(run);
-                    run = 0;
-                }
-                if cur.is_full() {
-                    chunks.push(std::mem::replace(&mut cur, TraceBuf::with_capacity(4096)));
-                }
-                cur.push(ev);
-            }
-        }
-    }
-    if run > 0 {
-        cur.push_ticks(run);
-    }
-    if !cur.is_empty() {
-        chunks.push(cur);
-    }
-    chunks
-}
-
-/// Packs a recorded trace into fixed-capacity chunks with *every* event
-/// preserved — instruction and branch entries included, so replaying the
-/// chunks reproduces the scalar sink's instruction and branch totals,
-/// not just its cache statistics. This is the packer [`SearchReplay`]
-/// stores traces with; [`pack_chunks`] is the leaner tick-folded form the
-/// engine benchmark times, which only guarantees cycle/statistic
-/// equality.
+/// Packs an already-recorded event list into the chunks a
+/// [`TraceRecorder`] would have written for the same stream: replaying
+/// them reproduces the scalar sink's statistics, cycles, and
+/// instruction and branch totals. New recording code should record into
+/// a [`TraceRecorder`] directly instead of going through a
+/// [`TraceBuffer`].
 pub fn pack_full(trace: &TraceBuffer) -> Vec<TraceBuf> {
-    let mut chunks = Vec::new();
-    let mut cur = TraceBuf::with_capacity(4096);
-    for &ev in trace.events() {
-        if cur.is_full() {
-            chunks.push(std::mem::replace(&mut cur, TraceBuf::with_capacity(4096)));
-        }
-        cur.push(ev);
-    }
-    if !cur.is_empty() {
-        chunks.push(cur);
-    }
-    chunks
+    let mut rec = TraceRecorder::new();
+    trace.replay(&mut rec);
+    rec.finish()
 }
 
 /// Searches per recorded segment. Small enough that a segment's packed
@@ -184,14 +149,14 @@ impl<'a> SearchReplay<'a> {
 
     /// Runs searches until `target` have been replayed since the last
     /// [`SearchReplay::reset_stats`] (or construction). `search` records
-    /// one search for a key into the trace buffer — it is only invoked on
+    /// one search for a key into the recorder — it is only invoked on
     /// store misses, so a warm store skips tree traversal entirely.
     ///
     /// Each segment (and each trace generation inside it) is recorded as
     /// a span on the process tracer, so a `CC_OBS_OUT` trace shows where
     /// replay epochs spend their wall-clock time. Spans never touch the
     /// simulated results.
-    pub fn advance_to(&mut self, target: u64, mut search: impl FnMut(u64, &mut TraceBuffer)) {
+    pub fn advance_to(&mut self, target: u64, mut search: impl FnMut(u64, &mut TraceRecorder)) {
         while self.done < target {
             let count = SEG_CAP.min(target - self.done);
             // Keys are drawn before the store lookup: the RNG stream must
@@ -199,11 +164,11 @@ impl<'a> SearchReplay<'a> {
             let keys: Vec<u64> = (0..count).map(|_| 2 * self.rng.below(self.n)).collect();
             let mut generate = || {
                 crate::obs::span("generate", "store", 0, || {
-                    let mut buf = TraceBuffer::new();
+                    let mut rec = TraceRecorder::new();
                     for &k in &keys {
-                        search(k, &mut buf);
+                        search(k, &mut rec);
                     }
-                    pack_full(&buf)
+                    rec.finish()
                 })
             };
             // The segment key carries the epoch because `done` rewinds on
@@ -295,7 +260,7 @@ pub fn steady_cycles_per_search<F>(
     mut search: F,
 ) -> f64
 where
-    F: FnMut(u64, &mut TraceBuffer),
+    F: FnMut(u64, &mut TraceRecorder),
 {
     let mut replay = SearchReplay::new(machine, n, seed, shards, store, key);
     replay.advance_to(warmup, &mut search);

@@ -6,8 +6,11 @@
 //! replay budget. `SampledReplay` runs the cc-sample pipeline instead:
 //!
 //! 1. **Stream + fingerprint.** The workload is generated in fixed-size
-//!    intervals of `interval_searches` searches. Each interval is packed
-//!    ([`crate::replay::pack_full`]), fingerprinted, and then *dropped*
+//!    intervals of `interval_searches` searches, each recorded straight
+//!    into packed chunks by a [`TraceRecorder`] (instruction and branch
+//!    events fold into the preceding entry as they arrive, so the
+//!    fingerprint walks about a third of the entries an unfolded packing
+//!    would hold). Each interval is fingerprinted and then *dropped*
 //!    unless it fits a retention budget — crucially, the interval's RNG
 //!    checkpoint (a [`SplitMix64`] clone, 8 bytes) is recorded first, so
 //!    any interval can be regenerated on demand, bit-identically, in
@@ -38,11 +41,8 @@ use cc_sample::{
     cluster, error_report, extrapolate, replay_full, ErrorReport, SampleConfig, SamplePlan,
     SampledStats, Signature,
 };
-use cc_sim::event::TraceBuffer;
-use cc_sim::{MachineConfig, TraceBuf};
+use cc_sim::{MachineConfig, TraceBuf, TraceRecorder};
 use cc_sweep::{TraceKey, TraceStore};
-
-use crate::replay::pack_full;
 
 /// Sampling parameters for one [`SampledReplay`] run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -265,14 +265,14 @@ impl<'a> SampledReplay<'a> {
     }
 
     /// Runs the pipeline for `total_searches` searches. `search` records
-    /// one search for a key into a trace buffer, exactly as in
+    /// one search for a key into a recorder, exactly as in
     /// [`crate::replay::SearchReplay::advance_to`]; it is invoked once
     /// per search during fingerprinting and again for every interval a
     /// representative replay needs regenerated.
     pub fn run(
         &mut self,
         total_searches: u64,
-        mut search: impl FnMut(u64, &mut TraceBuffer),
+        mut search: impl FnMut(u64, &mut TraceRecorder),
     ) -> Result<SampledResult, Cancelled> {
         assert!(total_searches > 0, "sampled replay of zero searches");
         let per = self.spec.interval_searches.max(1);
@@ -303,13 +303,13 @@ impl<'a> SampledReplay<'a> {
         let mut retained_bytes = 0usize;
         let n = self.n;
         let generate =
-            |rng: &mut SplitMix64, count: u64, search: &mut dyn FnMut(u64, &mut TraceBuffer)| {
-                let mut buf = TraceBuffer::new();
+            |rng: &mut SplitMix64, count: u64, search: &mut dyn FnMut(u64, &mut TraceRecorder)| {
+                let mut rec = TraceRecorder::new();
                 for _ in 0..count {
                     let k = 2 * rng.below(n);
-                    search(k, &mut buf);
+                    search(k, &mut rec);
                 }
-                pack_full(&buf)
+                rec.finish()
             };
         // Rate-1.0 plans replay every interval, so probed (approximate)
         // event weights would only break bit-identity with full replay
@@ -341,16 +341,16 @@ impl<'a> SampledReplay<'a> {
                     // match regeneration exactly) but only every
                     // 2^probe_shift-th search is traced and fingerprinted.
                     let mask = (1u64 << probe_shift) - 1;
-                    let mut buf = TraceBuffer::new();
+                    let mut rec = TraceRecorder::new();
                     let mut probed = 0u64;
                     for s in 0..count {
                         let k = 2 * rng.below(n);
                         if s & mask == 0 {
-                            search(k, &mut buf);
+                            search(k, &mut rec);
                             probed += 1;
                         }
                     }
-                    let bufs = pack_full(&buf);
+                    let bufs = rec.finish();
                     let mut sig = Signature::from_bufs(&bufs, self.spec.sample.stride_shift);
                     // Scale the probed event count up to an estimate for
                     // the whole interval: exact in expectation, and the

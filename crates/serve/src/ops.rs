@@ -173,6 +173,15 @@ pub fn estimate_events(keys: u64, searches: u64) -> u64 {
 
 /// `TraceBuf` bytes per packed event (`approx_bytes` per entry: 8-byte
 /// address lane + two 4-byte lanes + 1 kind byte).
+///
+/// Search traces are recorded folded — each node's instruction and
+/// branch events ride in the load entry's tick lane — so a stored search
+/// trace holds about one entry per three events, and this charge
+/// over-estimates its real bytes about 3x. It is deliberately kept at
+/// the unfolded 17 so quota admission (which requests go through the
+/// shared store) keeps the calibration it was tuned with. `health`'s
+/// `store.resident_bytes` measures the real bytes (about a third of this
+/// estimate), and `store.evictions` reads lower for the same traffic.
 const BYTES_PER_EVENT: u64 = 17;
 
 /// The parameters of one replay run, shared by `simulate` and `morph`.

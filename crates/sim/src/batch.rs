@@ -26,7 +26,20 @@
 //!   through `access_batch`, with an optional observer for consumers that
 //!   need the raw stream (affinity tracing, tees). With no observer
 //!   attached, no per-event dynamic dispatch or observer branching survives
-//!   in the hot loop.
+//!   in the hot loop;
+//! * [`TraceRecorder`] — an [`EventSink`] that records a stream straight
+//!   into fixed-capacity [`TraceBuf`] chunks for storing, splitting, and
+//!   replaying later. It folds events as `BatchSink` does, as they
+//!   arrive: each `Inst`/`Branch` becomes one tick in the preceding
+//!   entry's tick lane, and its count goes into the chunk's
+//!   [`TraceBuf::insts`] / [`TraceBuf::branches`] totals, so a
+//!   load/inst/branch node visit costs one packed entry instead of three.
+//!
+//! [`TraceBuf`] is the one packed trace format: what the recorder writes,
+//! the trace store keeps, and every replay engine consumes.
+//! [`crate::event::TraceBuffer`] is a different thing — a growable
+//! `Vec<Event>` (24 bytes per event, nothing folded) kept for tests and
+//! for replaying one stream through several sinks.
 //!
 //! The batched path is pinned to the scalar path by a differential property
 //! test (`tests/batch_differential.rs`): over arbitrary event streams, both
@@ -80,14 +93,18 @@ pub struct MemRef {
 ///
 /// Events are split into parallel lanes (kind, address, size, trailing
 /// ticks), so the batched replay loop touches a few dense bytes per entry,
-/// all sequentially. Runs of clock-only events (instructions, branches —
-/// whose counts the packer accounts for separately) occupy no entries of
-/// their own: they fold into the tick lane of the entry they follow, so
-/// the canonical load/inst/branch pointer-chase rhythm packs into one
-/// entry per node. Unlike [`crate::event::TraceBuffer`] (a growable
-/// array-of-structs recorder for tests and replays), a `TraceBuf` is a
-/// bounded staging area: [`BatchSink`] fills it and drains it through
+/// all sequentially. Runs of clock-only events (instructions, branches)
+/// occupy no entries of their own: they fold into the tick lane of the
+/// entry they follow, so the canonical load/inst/branch pointer-chase
+/// rhythm packs into one entry per node. The folded events' counts live
+/// in two per-buffer totals ([`TraceBuf::insts`], [`TraceBuf::branches`])
+/// that every replay engine adds once per buffer. [`TraceRecorder`] fills
+/// buffers this way for storing and splitting; [`BatchSink`] stages
+/// events the same way and drains the buffer through
 /// [`MemorySystem::access_batch`] every time it fills up.
+/// [`TraceBuf::push`] stays lossless — an `Inst`/`Branch` pushed through
+/// it takes an entry carrying its count — for tests and hand-built
+/// traces.
 ///
 /// # Example
 ///
@@ -112,6 +129,10 @@ pub struct TraceBuf {
     cap: usize,
     /// Address-space tag (see [`TraceBuf::set_space`]).
     space: u32,
+    /// Instruction counts of the events folded into tick lanes.
+    insts: u64,
+    /// Branch counts of the events folded into tick lanes.
+    branches: u64,
 }
 
 impl TraceBuf {
@@ -129,7 +150,20 @@ impl TraceBuf {
             ticks: Vec::with_capacity(cap),
             cap,
             space: 0,
+            insts: 0,
+            branches: 0,
         }
+    }
+
+    /// Instructions retired by the events folded into tick lanes (see
+    /// [`TraceRecorder`]); entries pushed whole carry their own counts.
+    pub fn insts(&self) -> u64 {
+        self.insts
+    }
+
+    /// Branches observed by the events folded into tick lanes.
+    pub fn branches(&self) -> u64 {
+        self.branches
     }
 
     /// The buffer's address-space tag (0 unless [`TraceBuf::set_space`]
@@ -161,16 +195,19 @@ impl TraceBuf {
 
     /// Number of buffered entries (folded tick runs do not count; see
     /// [`TraceBuf::events`] for the decoded event stream).
+    #[inline]
     pub fn len(&self) -> usize {
         self.kinds.len()
     }
 
     /// Whether the buffer holds no events.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.kinds.is_empty()
     }
 
     /// Whether the buffer is at capacity (the caller should drain it).
+    #[inline]
     pub fn is_full(&self) -> bool {
         self.kinds.len() >= self.cap
     }
@@ -186,6 +223,8 @@ impl TraceBuf {
         self.addrs.clear();
         self.sizes.clear();
         self.ticks.clear();
+        self.insts = 0;
+        self.branches = 0;
     }
 
     /// Appends one event.
@@ -193,6 +232,7 @@ impl TraceBuf {
     /// # Panics
     ///
     /// Panics if the buffer is full.
+    #[inline]
     pub fn push(&mut self, ev: Event) {
         assert!(!self.is_full(), "TraceBuf overflow: drain before pushing");
         let (kind, addr, size) = match ev {
@@ -232,6 +272,7 @@ impl TraceBuf {
     ///
     /// Panics if `ticks` is zero, or if a standalone entry is needed and
     /// the buffer is full (see [`TraceBuf::can_fold_ticks`]).
+    #[inline]
     pub fn push_ticks(&mut self, ticks: u64) {
         assert!(ticks > 0, "a tick run must advance the clock");
         if let Some(i) = self.kinds.len().checked_sub(1) {
@@ -254,6 +295,7 @@ impl TraceBuf {
 
     /// Whether [`TraceBuf::push_ticks`] can absorb a run without staging a
     /// new entry (so it cannot panic even on a full buffer).
+    #[inline]
     pub fn can_fold_ticks(&self, ticks: u64) -> bool {
         match self.kinds.last() {
             Some(PackedKind::Gap) => true,
@@ -262,6 +304,42 @@ impl TraceBuf {
             }
             None => false,
         }
+    }
+
+    /// Stages `ev` with clock-only events folded — the packing rule
+    /// [`TraceRecorder`] and [`BatchSink`] share. A memory event takes one
+    /// entry. An `Inst` or `Branch` takes none when it can help it: its
+    /// tick bumps the trailing entry's tick lane (a standalone clock-gap
+    /// entry is staged only when there is no entry, or its lane is
+    /// saturated) and its count goes into [`TraceBuf::insts`] /
+    /// [`TraceBuf::branches`]. Returns `false`, staging nothing, when the
+    /// event needs an entry and the buffer is full; it always succeeds on
+    /// an empty buffer.
+    #[inline]
+    fn push_folded(&mut self, ev: Event) -> bool {
+        let (insts, branches) = match ev {
+            Event::Inst(n) => (n, 0),
+            Event::Branch(n) => (0, n),
+            _ => {
+                if self.is_full() {
+                    return false;
+                }
+                self.push(ev);
+                return true;
+            }
+        };
+        match self.ticks.last_mut() {
+            Some(t) if *t < u32::MAX => *t += 1,
+            _ => {
+                if self.is_full() {
+                    return false;
+                }
+                self.push_ticks(1);
+            }
+        }
+        self.insts += u64::from(insts);
+        self.branches += u64::from(branches);
+        true
     }
 
     /// Streams the memory-referencing entries (loads, stores, prefetches)
@@ -304,7 +382,8 @@ impl TraceBuf {
     /// Decodes the buffered events back into [`Event`]s, in order. Folded
     /// tick runs and clock-gap entries decode as that many `Inst(0)`
     /// events — the canonical event that ticks the clock and counts
-    /// nothing.
+    /// nothing; the folded counts stay in [`TraceBuf::insts`] and
+    /// [`TraceBuf::branches`].
     pub fn events(&self) -> impl Iterator<Item = Event> + '_ {
         (0..self.len()).flat_map(move |i| {
             let (ev, reps) = match self.kinds[i] {
@@ -559,12 +638,16 @@ impl TraceBuf {
     /// kind/size/tick lanes run-length encode (traces are long runs of
     /// same-shaped loads), the address lane stores zigzag deltas (pointer
     /// chases move in small strides, so most deltas are a few hex digits).
+    /// The `ccbuf v2` header carries capacity, space, length, and the
+    /// folded instruction and branch totals.
     pub fn encode_compact(&self) -> String {
         let mut s = format!(
-            "ccbuf v1 {:x} {:x} {:x}\n",
+            "ccbuf v2 {:x} {:x} {:x} {:x} {:x}\n",
             self.cap,
             self.space,
-            self.len()
+            self.len(),
+            self.insts,
+            self.branches
         );
         s.push('k');
         s.push(' ');
@@ -593,15 +676,19 @@ impl TraceBuf {
     /// Decodes an [`TraceBuf::encode_compact`] string. Returns `None` on
     /// any malformed input (wrong magic, lane mismatch, out-of-range kind
     /// or size) — a corrupt cache file is treated as a miss, never trusted.
+    /// A `ccbuf v1` text (written before the folded totals existed) is a
+    /// miss too: it cannot say how many instructions its ticks stood for.
     pub fn decode_compact(s: &str) -> Option<TraceBuf> {
         let mut lines = s.lines();
         let mut header = lines.next()?.split_ascii_whitespace();
-        if header.next()? != "ccbuf" || header.next()? != "v1" {
+        if header.next()? != "ccbuf" || header.next()? != "v2" {
             return None;
         }
         let cap = usize::from_str_radix(header.next()?, 16).ok()?;
         let space = u32::from_str_radix(header.next()?, 16).ok()?;
         let len = usize::from_str_radix(header.next()?, 16).ok()?;
+        let insts = u64::from_str_radix(header.next()?, 16).ok()?;
+        let branches = u64::from_str_radix(header.next()?, 16).ok()?;
         if cap == 0 || len > cap || header.next().is_some() {
             return None;
         }
@@ -653,6 +740,8 @@ impl TraceBuf {
             ticks,
             cap,
             space,
+            insts,
+            branches,
         };
         buf.validate().ok()?;
         Some(buf)
@@ -795,7 +884,13 @@ impl MemorySystem {
         // there are at least two, which the paired both-hit probe requires.
         let l1_pair = l1_geo.assoc() == 1 && l1_geo.sets() > 1;
         let read = InlineRead::new(&self.config);
-        let mut out = BatchOutcome::default();
+        // The folded events' counts, once per buffer; their clock ticks
+        // come out of the tick lane below.
+        let mut out = BatchOutcome {
+            insts: buf.insts,
+            branches: buf.branches,
+            ..BatchOutcome::default()
+        };
         let mut now = now;
         // Demand-read accounting for the paths that don't self-record
         // (memo skips and `read_direct` probes), tallied in registers and
@@ -1205,9 +1300,12 @@ impl<O: EventSink> BatchSink<O> {
     /// Replays the (repaired) buffer one event at a time, mirroring
     /// [`crate::MemorySink::event`] exactly: the reference path the batched
     /// engine is differentially pinned to. Decoded instruction/branch
-    /// events carry count 0 (their counts were folded at arrival), so the
-    /// replay only advances the clock for them.
+    /// events carry count 0 (their counts are the buffer's folded totals,
+    /// which survive a repair whole, as they did when the sink folded
+    /// them at arrival), so the replay only advances the clock for them.
     fn scalar_replay(&mut self) {
+        self.insts += self.buf.insts();
+        self.branches += self.buf.branches();
         let events: Vec<Event> = self.buf.events().collect();
         for ev in events {
             self.now += 1;
@@ -1298,15 +1396,15 @@ impl<O: EventSink> BatchSink<O> {
         self.system.attribution()
     }
 
-    /// Instructions retired. Exact at any time: instruction counts are
-    /// folded into the counter as events arrive, not at drain time.
+    /// Instructions retired. Exact at any time: the staged buffer's
+    /// folded total counts too, not only what has been drained.
     pub fn insts(&self) -> u64 {
-        self.insts
+        self.insts + self.buf.insts()
     }
 
     /// Branches observed. Exact at any time, like [`BatchSink::insts`].
     pub fn branches(&self) -> u64 {
-        self.branches
+        self.branches + self.buf.branches()
     }
 
     /// Accumulated Section 5.1 memory cycles, up to the last flush.
@@ -1338,43 +1436,107 @@ impl<O: EventSink> BatchSink<O> {
     }
 }
 
-impl<O: EventSink> BatchSink<O> {
-    /// Stages one clock tick for an instruction or branch event. Almost
-    /// always folds into the trailing entry's tick lane; a tick arriving
-    /// at a full buffer that cannot absorb it forces a drain first.
-    fn stage_tick(&mut self) {
-        if self.buf.is_full() && !self.buf.can_fold_ticks(1) {
-            self.flush();
-        }
-        self.buf.push_ticks(1);
-    }
-}
-
 impl<O: EventSink> EventSink for BatchSink<O> {
     fn event(&mut self, ev: Event) {
         if let Some(obs) = &mut self.observer {
             obs.event(ev);
         }
-        match ev {
-            // Instruction and branch events carry no address: fold their
-            // counts in immediately and stage only the clock advance.
-            Event::Inst(n) => {
-                self.insts += u64::from(n);
-                self.stage_tick();
-            }
-            Event::Branch(n) => {
-                self.branches += u64::from(n);
-                self.stage_tick();
-            }
-            _ => {
-                // Drain lazily, just before the push that needs the room:
-                // a full buffer can still fold trailing ticks, so keeping
-                // it around lets tick runs at the boundary coalesce.
-                if self.buf.is_full() {
-                    self.flush();
-                }
-                self.buf.push(ev);
-            }
+        // Drain lazily, just before the event that needs the room: a full
+        // buffer can still fold trailing ticks, so keeping it around lets
+        // tick runs at the boundary coalesce.
+        if !self.buf.push_folded(ev) {
+            self.flush();
+            let staged = self.buf.push_folded(ev);
+            debug_assert!(staged, "an empty buffer takes any event");
+        }
+    }
+}
+
+/// An [`EventSink`] that records a stream straight into fixed-capacity
+/// [`TraceBuf`] chunks — the one way a trace is recorded for storing,
+/// splitting, and replaying.
+///
+/// Memory events take one packed entry each. An `Inst` or `Branch` event
+/// takes none: its clock tick folds into the preceding entry's tick lane
+/// and its count into the chunk's [`TraceBuf::insts`] /
+/// [`TraceBuf::branches`] totals — the rule [`BatchSink`] applies as
+/// events arrive. Replaying the chunks through
+/// [`MemorySystem::access_batch`] or a [`crate::ShardedReplayer`]
+/// therefore reproduces the scalar sink's statistics, cycles,
+/// instruction and branch totals, and event count, from about a third of
+/// the entries a lossless [`TraceBuf::push`] packing stages for a
+/// load/inst/branch pointer chase.
+///
+/// # Example
+///
+/// ```
+/// use cc_sim::batch::TraceRecorder;
+/// use cc_sim::event::EventSink;
+///
+/// let mut rec = TraceRecorder::new();
+/// rec.load(0x40, 8);
+/// rec.inst(3);
+/// rec.branch(1);
+/// let chunks = rec.finish();
+/// assert_eq!(chunks.len(), 1);
+/// assert_eq!(chunks[0].len(), 1, "the inst and branch folded away");
+/// assert_eq!((chunks[0].insts(), chunks[0].branches()), (3, 1));
+/// assert_eq!(chunks[0].event_total(), 3);
+/// ```
+#[derive(Debug)]
+pub struct TraceRecorder {
+    cur: TraceBuf,
+    chunks: Vec<TraceBuf>,
+}
+
+impl TraceRecorder {
+    /// A recorder writing [`DEFAULT_BATCH_CAPACITY`]-entry chunks.
+    pub fn new() -> Self {
+        Self::with_capacity(DEFAULT_BATCH_CAPACITY)
+    }
+
+    /// A recorder writing `cap`-entry chunks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap` is zero.
+    pub fn with_capacity(cap: usize) -> Self {
+        TraceRecorder {
+            cur: TraceBuf::with_capacity(cap),
+            chunks: Vec::new(),
+        }
+    }
+
+    /// The recorded chunks, in stream order (none for an empty stream).
+    pub fn finish(mut self) -> Vec<TraceBuf> {
+        if !self.cur.is_empty() {
+            self.chunks.push(self.cur);
+        }
+        self.chunks
+    }
+
+    /// Seals the full current chunk, starts an empty one, and stages `ev`
+    /// there.
+    #[cold]
+    fn rotate(&mut self, ev: Event) {
+        let next = TraceBuf::with_capacity(self.cur.capacity());
+        self.chunks.push(std::mem::replace(&mut self.cur, next));
+        let staged = self.cur.push_folded(ev);
+        debug_assert!(staged, "an empty chunk takes any event");
+    }
+}
+
+impl Default for TraceRecorder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl EventSink for TraceRecorder {
+    #[inline]
+    fn event(&mut self, ev: Event) {
+        if !self.cur.push_folded(ev) {
+            self.rotate(ev);
         }
     }
 }
@@ -1707,6 +1869,115 @@ mod tests {
         // An out-of-range kind digit is rejected, not wrapped.
         let bad = text.replace("k 2x1", "k 9x1");
         assert!(TraceBuf::decode_compact(&bad).is_none());
+    }
+
+    #[test]
+    fn compact_codec_roundtrips_the_folded_totals() {
+        let mut rec = TraceRecorder::with_capacity(4);
+        rec.inst(7); // leads with an instruction: a standalone gap entry
+        for i in 0..6 {
+            rec.load(0x1000 + i * 0x40, 20);
+            rec.inst(3);
+            rec.branch(1);
+        }
+        let chunks = rec.finish();
+        assert_eq!(chunks.len(), 2);
+        for buf in &chunks {
+            let back = TraceBuf::decode_compact(&buf.encode_compact()).expect("roundtrip");
+            assert_eq!(
+                (back.insts(), back.branches()),
+                (buf.insts(), buf.branches())
+            );
+            assert_eq!(back.event_total(), buf.event_total());
+            assert_eq!(
+                back.events().collect::<Vec<_>>(),
+                buf.events().collect::<Vec<_>>()
+            );
+        }
+        let insts: u64 = chunks.iter().map(TraceBuf::insts).sum();
+        let branches: u64 = chunks.iter().map(TraceBuf::branches).sum();
+        assert_eq!((insts, branches), (7 + 6 * 3, 6));
+        // The same buffer in the v1 layout (no totals in the header) is a
+        // miss, never decoded with the totals silently zeroed.
+        let text = chunks[0].encode_compact();
+        let header = text.lines().next().expect("header line");
+        let v1_header = header.split(' ').take(5).collect::<Vec<_>>().join(" ");
+        let v1 = text.replacen(header, &v1_header.replacen("v2", "v1", 1), 1);
+        assert!(v1.starts_with("ccbuf v1 4 0 "));
+        assert!(TraceBuf::decode_compact(&v1).is_none());
+    }
+
+    /// A machine with a 4-bit L1/L2 set-field overlap, so 2 and 4 shards
+    /// are real partitions.
+    fn overlapped() -> MachineConfig {
+        MachineConfig {
+            l1: crate::CacheGeometry::new(64, 16, 1),
+            l2: crate::CacheGeometry::new(64, 64, 1),
+            ..MachineConfig::test_tiny()
+        }
+    }
+
+    /// Batched and 1/2/4-shard replay totals of a chunk sequence.
+    fn replay_totals(bufs: &[TraceBuf]) -> Vec<(u64, u64, u64, u64)> {
+        let machine = overlapped();
+        let mut sys = MemorySystem::new(machine);
+        let mut cursor = BatchCursor::new();
+        let mut b = BatchOutcome::default();
+        for buf in bufs {
+            let o = sys.access_batch(buf, b.events, &mut cursor);
+            b.cycles += o.cycles;
+            b.insts += o.insts;
+            b.branches += o.branches;
+            b.events += o.events;
+        }
+        let mut out = vec![(b.cycles, b.insts, b.branches, b.events)];
+        for shards in [1, 2, 4] {
+            let mut r = crate::ShardedReplayer::new(machine, shards);
+            r.replay(&r.split(bufs));
+            out.push((r.memory_cycles(), r.insts(), r.branches(), r.events()));
+        }
+        out
+    }
+
+    #[test]
+    fn recorder_folds_past_a_saturated_tick_lane() {
+        const NEAR: u64 = u32::MAX as u64 - 1;
+        let tail = |s: &mut dyn EventSink| {
+            s.inst(2); // fills the lane to u32::MAX
+            s.branch(1); // saturated: a gap entry takes the tick
+            s.inst(4); // folds into the gap entry
+            s.load(0x80, 8);
+            s.inst(1);
+        };
+        // Lossless reference: a load followed by NEAR clock-only ticks.
+        let mut want = TraceBuf::with_capacity(16);
+        want.push(Event::load(0x40, 8));
+        want.push_ticks(NEAR);
+        for ev in [
+            Event::Inst(2),
+            Event::Branch(1),
+            Event::Inst(4),
+            Event::load(0x80, 8),
+            Event::Inst(1),
+        ] {
+            want.push(ev);
+        }
+        for cap in [1usize, 2, 16] {
+            let mut rec = TraceRecorder::with_capacity(cap);
+            rec.load(0x40, 8);
+            *rec.cur.ticks.last_mut().unwrap() = NEAR as u32;
+            tail(&mut rec);
+            let got = rec.finish();
+            assert_eq!(
+                replay_totals(&got),
+                replay_totals(std::slice::from_ref(&want)),
+                "capacity {cap}"
+            );
+            assert_eq!(
+                got.iter().map(TraceBuf::event_total).sum::<u64>(),
+                want.event_total()
+            );
+        }
     }
 
     #[test]

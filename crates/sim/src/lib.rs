@@ -56,6 +56,7 @@ pub mod tlb;
 
 pub use batch::{
     BatchCursor, BatchOutcome, BatchSink, MemRef, TraceBuf, TraceCorruption, TraceFault,
+    TraceRecorder,
 };
 pub use config::{Latency, MachineConfig};
 pub use event::{AffinityTrace, Event, EventSink, Tee};

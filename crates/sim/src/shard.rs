@@ -376,6 +376,8 @@ impl ShardedTrace {
                 &repaired
             };
             let salt = u64::from(buf.space()) << 32;
+            t.insts += buf.insts();
+            t.branches += buf.branches();
             let (kinds, addrs, sizes, ticks) = buf.lanes();
             for i in 0..kinds.len() {
                 let (addr, size) = (addrs[i], sizes[i]);
@@ -963,25 +965,29 @@ fn run_lane(sys: &mut MemorySystem, lane: &Lane, base_now: u64, poison: bool) ->
 /// body ([`MemorySystem::read_inline`]), restricted to this shard's
 /// blocks. The lane-local L2 memo follows the same MRU argument as the
 /// batch cursor — sound here because no other lane can touch this shard's
-/// sets. Once a prefetch is in flight, reads take the exact slow path, as
-/// they do in `access_batch`.
+/// sets. A read takes the exact slow path only when a prefetch of its own
+/// L2 block is in flight, the per-reference check `access_batch` makes:
+/// with prefetches outstanding the in-flight map never empties again, so
+/// an all-or-nothing test would send every later read the slow way.
 fn replay_lane_fast(sys: &mut MemorySystem, lane: &Lane, base_now: u64) -> u64 {
     let mut cycles = 0u64;
     let mut l1_tally = ReadTally::default();
     let mut l2_tally = ReadTally::default();
     let mut l2_memo = NO_MEMO;
-    let mut no_inflight = sys.inflight.is_empty();
     let read = InlineRead::new(&sys.config);
+    let l2_geo = sys.config.l2;
     for i in 0..lane.ops.len() {
         let addr = lane.addrs[i];
         match lane.ops[i] {
-            OP_READ if no_inflight => {
+            OP_READ
+                if sys.inflight.is_empty()
+                    || !sys.inflight.contains_key(&l2_geo.block_of(addr)) =>
+            {
                 cycles += sys.read_inline(read, addr, &mut l2_memo, &mut l1_tally, &mut l2_tally);
             }
             OP_READ => {
                 sys.access_block(addr, false, base_now + lane.nows[i], &mut cycles);
                 l2_memo = NO_MEMO;
-                no_inflight = sys.inflight.is_empty();
             }
             OP_WRITE => {
                 let mut discard = 0u64;
@@ -990,7 +996,6 @@ fn replay_lane_fast(sys: &mut MemorySystem, lane: &Lane, base_now: u64) -> u64 {
             }
             _ => {
                 sys.prefetch(addr, base_now + lane.nows[i]);
-                no_inflight = false;
                 l2_memo = NO_MEMO;
             }
         }

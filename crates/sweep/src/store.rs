@@ -681,6 +681,43 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A trace file written before the folded instruction/branch totals
+    /// existed (`ccbuf v1` buffers) reads as a miss: counted as corrupt,
+    /// regenerated, and rewritten in the current format — never trusted,
+    /// since its tick lanes cannot say how many instructions they stood
+    /// for.
+    #[test]
+    fn ccbuf_v1_file_is_a_miss_and_is_regenerated() {
+        let dir = std::env::temp_dir().join(format!("cctrace-v1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // One buffer holding one load of 8 bytes at 0x40, as v1 wrote it.
+        let v1 = "cctrace v1 1\nccbuf v1 8 0 1\nk 2x1\na 80\ns 8x1\nt 0x1\n";
+        let path = dir.join(format!("{:016x}.cctrace", key(17).value()));
+        std::fs::write(&path, v1).unwrap();
+
+        let store = TraceStore::with_budget(1 << 20).with_disk(dir.clone());
+        let regen = AtomicUsize::new(0);
+        let got = store.get_or_generate(key(17), || {
+            regen.fetch_add(1, Ordering::SeqCst);
+            trace(17, 30)
+        });
+        assert_eq!(regen.load(Ordering::SeqCst), 1, "v1 file was trusted");
+        let c = store.counters();
+        assert_eq!((c.disk_hits, c.disk_corrupt, c.generations), (0, 1, 1));
+        let reference: Vec<Event> = trace(17, 30).iter().flat_map(|x| x.events()).collect();
+        let events: Vec<Event> = got.iter().flat_map(|x| x.events()).collect();
+        assert_eq!(events, reference);
+
+        // The regenerated trace replaced the v1 file with a current one.
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.lines().nth(1).unwrap().starts_with("ccbuf v2 "));
+        let fresh = TraceStore::with_budget(1 << 20).with_disk(dir.clone());
+        fresh.get_or_generate(key(17), || unreachable!("rewritten file must serve this"));
+        assert_eq!(fresh.counters().disk_hits, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// An unusable `CC_TRACE_CACHE` path (here: an existing plain file,
     /// so `create_dir_all` fails even for root, unlike permission bits)
     /// degrades the store to memory-only: counted, reported, and every
