@@ -150,7 +150,9 @@ impl<'a> SearchReplay<'a> {
     /// Runs searches until `target` have been replayed since the last
     /// [`SearchReplay::reset_stats`] (or construction). `search` records
     /// one search for a key into the recorder — it is only invoked on
-    /// store misses, so a warm store skips tree traversal entirely.
+    /// store misses, so a warm store skips tree traversal entirely. A
+    /// caller that builds its tree lazily inside `search` (cc-serve
+    /// does) skips tree construction on a warm store too.
     ///
     /// Each segment (and each trace generation inside it) is recorded as
     /// a span on the process tracer, so a `CC_OBS_OUT` trace shows where
@@ -320,7 +322,7 @@ mod tests {
         searches: u64,
         shards: usize,
         store: Option<&TraceStore>,
-    ) -> (f64, u64) {
+    ) -> (f64, u64, u64) {
         let spec = TreeSpec {
             randomize: Some(0xA11),
             depth_first: false,
@@ -329,12 +331,15 @@ mod tests {
         let t = build_bst(&machine, n, spec);
         let key = spec.fold_key(TraceKey::new("replay-test"));
         let mut replay = SearchReplay::new(machine, n, seed, shards, store, key);
+        let mut calls = 0;
         replay.advance_to(searches, |k, buf| {
+            calls += 1;
             t.search(k, buf, false);
         });
         (
             replay.avg_us_per_search(),
             replay.replayer().l1_stats().misses(),
+            calls,
         )
     }
 
@@ -357,9 +362,13 @@ mod tests {
         let cold = replay_avg(machine, 511, 7, 300, 2, Some(&store));
         let gens = store.counters().generations;
         assert!(gens > 0);
+        assert_eq!(cold.2, 300, "a cold store searches once per key");
         let warm = replay_avg(machine, 511, 7, 300, 2, Some(&store));
         assert_eq!(warm.0.to_bits(), cold.0.to_bits());
         assert_eq!(warm.1, cold.1);
+        // Callers (cc-serve) build their tree inside the search closure,
+        // so a warm store must never call it.
+        assert_eq!(warm.2, 0, "a warm store called the search closure");
         assert_eq!(store.counters().generations, gens, "warm run regenerated");
         assert!(store.counters().hits > 0);
     }

@@ -268,7 +268,10 @@ impl<'a> SampledReplay<'a> {
     /// one search for a key into a recorder, exactly as in
     /// [`crate::replay::SearchReplay::advance_to`]; it is invoked once
     /// per search during fingerprinting and again for every interval a
-    /// representative replay needs regenerated.
+    /// representative replay needs regenerated. A sampled-cache hit
+    /// returns before the first call, so a warm store skips tree
+    /// traversal entirely, and construction too when the caller builds
+    /// its tree lazily inside `search` (cc-serve does).
     pub fn run(
         &mut self,
         total_searches: u64,
@@ -566,7 +569,7 @@ mod tests {
         let t = build_bst(&machine, n, spec());
         let key = spec().fold_key(TraceKey::new("sampled-cache"));
         let store = TraceStore::default();
-        let run = |store: &TraceStore| {
+        let run = |store: &TraceStore, calls: &mut u64| {
             let mut sampled = SampledReplay::new(
                 machine,
                 n,
@@ -578,14 +581,20 @@ mod tests {
             );
             sampled
                 .run(searches, |k, buf| {
+                    *calls += 1;
                     t.search(k, buf, false);
                 })
                 .expect("not cancelled")
         };
-        let cold = run(&store);
+        let (mut cold_calls, mut warm_calls) = (0, 0);
+        let cold = run(&store, &mut cold_calls);
         assert!(!cold.from_cache);
-        let warm = run(&store);
+        assert!(cold_calls > 0, "a cold run must search");
+        let warm = run(&store, &mut warm_calls);
         assert!(warm.from_cache, "second run must be served from cache");
+        // Callers (cc-serve) build their tree inside the search closure,
+        // so a warm sampled cache must never call it.
+        assert_eq!(warm_calls, 0, "a warm cache called the search closure");
         assert_eq!(warm.stats, cold.stats);
         assert_eq!(store.counters().sampled_hits, 1);
         // Byte stability: encoding the warm result reproduces the cached

@@ -6,7 +6,7 @@
 //! harness pins when it asserts a poisoned neighbour session cannot
 //! change a clean session's bytes.
 //!
-//! Robustness hooks threaded through every op:
+//! Robustness and cost hooks threaded through the ops:
 //!
 //! * **Deadlines** — [`Gate::check`] is called between replay segments
 //!   (cooperative cancellation; a segment is the unit of preemption).
@@ -22,6 +22,11 @@
 //!   past that its requests still run, but bypass the store
 //!   (`serve.store.quota_bypasses`), so one tenant cannot evict the
 //!   tier out from under the others.
+//! * **Cache hits build nothing** — `simulate` and the layout `morph`
+//!   build their search tree on the first search a trace-store or
+//!   sampled-cache miss records, so a warm request skips tree
+//!   construction as well as traversal (the tree is a pure function of
+//!   its recipe, so replies do not change).
 //! * **Chaos** — when (and only when) the server was started with
 //!   `allow_chaos`, a request may carry `chaos_panic` /
 //!   `chaos_panic_mid` to detonate the worker at a chosen point; the
@@ -34,6 +39,7 @@ use cc_bench::replay::{build_bst, SearchReplay, TreeSpec, SEG_CAP};
 use cc_bench::sample::{Cancelled, SampledReplay, SampledSpec};
 use cc_sim::MachineConfig;
 use cc_sweep::{TraceKey, TraceStore};
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -283,7 +289,9 @@ fn run_replay(env: &OpEnv<'_>, r: &ReplaySpec, chaos: &ChaosPlan, over: u64) -> 
     }
     let store = use_store.then_some(env.store);
 
-    let tree = build_bst(&machine, r.keys, r.spec);
+    // Built on the first search a store miss records: a warm store never
+    // calls the search closure, so a hit builds no tree.
+    let tree = OnceCell::new();
     let key = r.spec.fold_key(TraceKey::new(r.tag));
     let mut replay = SearchReplay::new(machine, r.keys, r.seed, r.shards as usize, store, key);
     let mut done = 0u64;
@@ -291,7 +299,8 @@ fn run_replay(env: &OpEnv<'_>, r: &ReplaySpec, chaos: &ChaosPlan, over: u64) -> 
         env.gate.check()?;
         done = (done + SEG_CAP).min(r.searches);
         replay.advance_to(done, |k, buf| {
-            tree.search(k, buf, false);
+            tree.get_or_init(|| build_bst(&machine, r.keys, r.spec))
+                .search(k, buf, false);
         });
         if chaos_mid {
             // Mid-request: at least one segment's worth of replay state
@@ -380,7 +389,9 @@ fn run_sampled(
     // No store-quota charge: a sampled run writes a <1 KB result into
     // the sampled side cache, never generated-trace bytes.
     let machine = MachineConfig::ultrasparc_e5000();
-    let tree = build_bst(&machine, r.keys, r.spec);
+    // Built lazily, as in `run_replay`: a sampled-cache hit returns
+    // before its first search and builds no tree.
+    let tree = OnceCell::new();
     let key = r.spec.fold_key(TraceKey::new(r.tag));
     let spec = SampledSpec {
         interval_searches: SAMPLE_INTERVAL_SEARCHES,
@@ -411,7 +422,8 @@ fn run_sampled(
     };
     replay.cancel_with(&cancel);
     let result = replay.run(r.searches, |k, buf| {
-        tree.search(k, buf, false);
+        tree.get_or_init(|| build_bst(&machine, r.keys, r.spec))
+            .search(k, buf, false);
     });
     let result = match result {
         Ok(result) => result,
@@ -807,6 +819,7 @@ pub fn lint(env: &OpEnv<'_>, params: &Json) -> OpResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cc_sweep::StoreCounters;
     use std::time::Duration;
 
     fn env_parts() -> (TraceStore, ServeLimits, SessionCtx) {
@@ -843,8 +856,11 @@ mod tests {
             ])
         };
         let a = simulate(&env, &params(1)).unwrap().encode();
+        let gens = store.counters().generations;
+        assert!(gens > 0);
         let b = simulate(&env, &params(1)).unwrap().encode();
         assert_eq!(a, b, "same request, same bytes (warm store)");
+        assert_eq!(store.counters().generations, gens, "warm run regenerated");
         // Shard count shows up only in the `shards` field; stats agree.
         let c = simulate(&env, &params(4)).unwrap();
         let a = Json::parse(&a).unwrap();
@@ -920,6 +936,8 @@ mod tests {
             "sampled replies must be byte-stable"
         );
         assert_eq!(store.counters().sampled_hits, 1);
+        assert_eq!(store.counters().sampled_puts, 1, "warm run resampled");
+        assert_eq!(store.counters().generations, 0);
     }
 
     #[test]
@@ -1001,7 +1019,11 @@ mod tests {
         let over = simulate(&env, &params).unwrap();
         assert_eq!(over.get("shared_store"), Some(&Json::Bool(false)));
         assert_eq!(bypasses.load(Ordering::Relaxed), 1);
-        assert_eq!(store.counters().generations, 0, "store untouched");
+        assert_eq!(
+            store.counters(),
+            StoreCounters::default(),
+            "store untouched"
+        );
 
         // An in-quota tenant gets byte-identical simulation results.
         let session2 = SessionCtx::default();
@@ -1016,8 +1038,17 @@ mod tests {
         };
         let under = simulate(&env2, &params).unwrap();
         assert!(store.counters().generations > 0);
-        assert_eq!(over.get("l1"), under.get("l1"));
-        assert_eq!(over.get("memory_cycles"), under.get("memory_cycles"));
+        let mut fields = over.as_obj().unwrap().clone();
+        fields.insert("shared_store".into(), Json::Bool(true));
+        assert_eq!(Json::Obj(fields).encode(), under.encode());
+
+        // The over-quota tenant cannot use the trace that run left warm:
+        // it builds its own tree and leaves every store counter alone.
+        let warm = store.counters();
+        let again = simulate(&env, &params).unwrap();
+        assert_eq!(bypasses.load(Ordering::Relaxed), 2);
+        assert_eq!(store.counters(), warm, "store untouched");
+        assert_eq!(again.encode(), over.encode());
     }
 
     #[test]
@@ -1065,6 +1096,12 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert!(delta > 0.0, "ccmorph should cut L2 misses, got {delta}%");
+
+        // Warm repeat: both legs are store hits, byte-identical.
+        let gens = store.counters().generations;
+        let again = morph(&env, &params).unwrap();
+        assert_eq!(store.counters().generations, gens, "warm run regenerated");
+        assert_eq!(r.encode(), again.encode());
     }
 
     #[test]
