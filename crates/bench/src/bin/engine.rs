@@ -43,6 +43,14 @@
 //! A large spread is the benchmark telling you the host was busy —
 //! rerun before trusting small deltas.
 //!
+//! Each trace also records an ungated `attrib_slowdown_x`: the median,
+//! over the same laps, of an attributed batched drain (per-region miss
+//! attribution on, one region spanning the address space) divided by
+//! the plain drain of the same lap. Attribution reports from inside the
+//! batched fast paths, so this ratio is what miss attribution costs; a
+//! change that knocks attributed replay off those paths shows up here
+//! as a jump.
+//!
 //! The artifact also carries a `sampled_sim` block: the cc-sample
 //! representative-interval pipeline against the full replay of the same
 //! search stream, as an error-vs-speedup curve over cluster counts plus
@@ -81,6 +89,7 @@ use cc_bench::header;
 use cc_bench::replay::{build_bst, TreeSpec};
 use cc_bench::sample::{SampledReplay, SampledSpec};
 use cc_core::rng::SplitMix64;
+use cc_obs::RegionMap;
 use cc_sample::{error_report, replay_full, SampleConfig};
 use cc_sim::batch::{BatchCursor, BatchSink, TraceBuf};
 use cc_sim::event::{EventSink, TraceBuffer};
@@ -138,6 +147,7 @@ struct Timing {
     sharded_wall_ns: f64,
     obs_overhead_pct: f64,
     obs_overhead_raw_pct: f64,
+    attrib_slowdown_x: f64,
     scalar_refs_per_sec: f64,
     batched_refs_per_sec: f64,
     sharded_refs_per_sec: f64,
@@ -361,7 +371,12 @@ fn run_scalar(machine: &MachineConfig, trace: &TraceBuffer) -> u64 {
 
 /// Drains prepacked chunks through the batched fast path.
 fn run_batched(machine: &MachineConfig, chunks: &[TraceBuf]) -> u64 {
-    let mut sys = MemorySystem::new(*machine);
+    drain(&mut MemorySystem::new(*machine), chunks)
+}
+
+/// Drains prepacked chunks through `sys`'s batched fast path from a
+/// fresh cursor; returns cycles.
+fn drain(sys: &mut MemorySystem, chunks: &[TraceBuf]) -> u64 {
     let mut cursor = BatchCursor::new();
     let mut now = 0u64;
     let mut cycles = 0u64;
@@ -385,6 +400,18 @@ fn run_batched_obs(machine: &MachineConfig, chunks: &[TraceBuf]) -> u64 {
         cc_bench::obs::bump("engine.batched_obs.chunks", chunks.len() as u64);
         cycles
     })
+}
+
+/// [`run_batched`] with per-region miss attribution on: the same drain,
+/// every probe reported to `regions`' profile.
+fn run_batched_attrib(
+    machine: &MachineConfig,
+    chunks: &[TraceBuf],
+    regions: &Arc<RegionMap>,
+) -> u64 {
+    let mut sys = MemorySystem::new(*machine);
+    sys.enable_attribution(Arc::clone(regions));
+    drain(&mut sys, chunks)
 }
 
 /// One sharded replay of a prepared split on a fresh replayer, lanes run
@@ -411,6 +438,7 @@ fn assert_engines_agree(
     trace: &TraceBuffer,
     chunks: &[TraceBuf],
     split: &ShardedTrace,
+    regions: &Arc<RegionMap>,
 ) {
     let mut scalar = MemorySink::new(*machine);
     trace.replay(&mut scalar);
@@ -440,14 +468,7 @@ fn assert_engines_agree(
 
     // The prepacked drain is what the timer runs; hold it to the same bar.
     let mut sys = MemorySystem::new(*machine);
-    let mut cursor = BatchCursor::new();
-    let mut now = 0u64;
-    let mut cycles = 0u64;
-    for c in chunks {
-        let out = sys.access_batch(c, now, &mut cursor);
-        now += out.events;
-        cycles += out.cycles;
-    }
+    let cycles = drain(&mut sys, chunks);
     assert_eq!(
         cycles,
         scalar.memory_cycles(),
@@ -468,6 +489,27 @@ fn assert_engines_agree(
         scalar.system().tlb_stats(),
         "{name}: prepacked drain TLB stats diverged from scalar"
     );
+
+    // The attributed drain the ratio times: same cycles, and a profile
+    // that accounts for every demand access.
+    let mut sys = MemorySystem::new(*machine);
+    sys.enable_attribution(Arc::clone(regions));
+    assert_eq!(
+        drain(&mut sys, chunks),
+        scalar.memory_cycles(),
+        "{name}: attributed drain cycles diverged from scalar"
+    );
+    let profile = sys.attribution().expect("attribution enabled");
+    for (level, stats) in [
+        (cc_obs::Level::L1, scalar.system().l1_stats()),
+        (cc_obs::Level::L2, scalar.system().l2_stats()),
+    ] {
+        assert_eq!(
+            (profile.totals(level).accesses, profile.totals(level).misses),
+            (stats.accesses(), stats.misses()),
+            "{name}: attributed drain missed demand accesses at {level:?}"
+        );
+    }
 
     // The sharded replayer, both threaded and serial, against the same bar.
     for serial in [false, true] {
@@ -580,6 +622,11 @@ fn write_json(
             f,
             "      \"obs_overhead_raw_pct\": {:.2},",
             t.obs_overhead_raw_pct
+        )?;
+        writeln!(
+            f,
+            "      \"attrib_slowdown_x\": {:.2},",
+            t.attrib_slowdown_x
         )?;
         writeln!(f, "      \"sharded_ns_per_replay\": {:.0},", t.sharded_ns)?;
         writeln!(
@@ -989,6 +1036,13 @@ fn main() {
     }
 
     let mut timings = Vec::new();
+    // The attributed drain's region map: one region over the whole
+    // address space, as the field legs use.
+    let everywhere = {
+        let mut map = RegionMap::new();
+        map.register("all", 0, u64::MAX);
+        Arc::new(map)
+    };
     for spec in &cases {
         let keys = (1u64 << spec.bits) - 1;
         eprintln!(
@@ -1008,7 +1062,7 @@ fn main() {
         }
         let splitter = ShardedReplayer::new(machine, SHARDS);
         let split = splitter.split_pooled(chunks, store.split_pool());
-        assert_engines_agree(&machine, spec.name, &trace, chunks, &split);
+        assert_engines_agree(&machine, spec.name, &trace, chunks, &split, &everywhere);
 
         // Round-robin the engines `reps` times and keep every sample, so
         // any slow drift in host load is shared instead of biasing one
@@ -1017,6 +1071,7 @@ fn main() {
         let mut scalar_s = Vec::with_capacity(reps);
         let mut batched_s = Vec::with_capacity(reps);
         let mut batched_obs_s = Vec::with_capacity(reps);
+        let mut batched_attrib_s = Vec::with_capacity(reps);
         let mut sharded_s = Vec::with_capacity(reps);
         let mut sharded_wall_s = Vec::with_capacity(reps);
         for _ in 0..reps {
@@ -1029,6 +1084,13 @@ fn main() {
             let start = Instant::now();
             black_box(run_batched_obs(black_box(&machine), black_box(chunks)));
             batched_obs_s.push(start.elapsed().as_secs_f64());
+            let start = Instant::now();
+            black_box(run_batched_attrib(
+                black_box(&machine),
+                black_box(chunks),
+                &everywhere,
+            ));
+            batched_attrib_s.push(start.elapsed().as_secs_f64());
             let (critical, cycles) =
                 run_sharded_serial(black_box(&machine), SHARDS, black_box(&split));
             black_box(cycles);
@@ -1053,6 +1115,13 @@ fn main() {
             .map(|(obs, plain)| 100.0 * (obs - plain) / plain)
             .collect();
         let obs_overhead_raw_pct = median(&mut overhead_s);
+        // Same pairing for the attribution ratio.
+        let mut attrib_x: Vec<f64> = batched_attrib_s
+            .iter()
+            .zip(&batched_s)
+            .map(|(attrib, plain)| attrib / plain)
+            .collect();
+        let attrib_slowdown_x = median(&mut attrib_x);
 
         let scalar_med = median(&mut scalar_s);
         let batched_med = median(&mut batched_s);
@@ -1080,6 +1149,7 @@ fn main() {
             sharded_wall_ns,
             obs_overhead_pct: obs_overhead_raw_pct.max(0.0),
             obs_overhead_raw_pct,
+            attrib_slowdown_x,
             scalar_refs_per_sec: memory_refs as f64 / scalar_med,
             batched_refs_per_sec: memory_refs as f64 / batched_med,
             sharded_refs_per_sec: memory_refs as f64 / sharded_med,
@@ -1158,6 +1228,14 @@ fn main() {
         timings
             .iter()
             .map(|t| format!("{} {:.1}%", t.name, t.sharded_wall_spread_pct))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    println!(
+        "attributed / plain batched drain (paired median): {}",
+        timings
+            .iter()
+            .map(|t| format!("{} {:.2}x", t.name, t.attrib_slowdown_x))
             .collect::<Vec<_>>()
             .join(", ")
     );

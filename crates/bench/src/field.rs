@@ -275,11 +275,11 @@ impl FieldSweep {
 
 /// Measures one case: a search phase then a scan phase, both through a
 /// [`BatchSink`] (bit-identical to the scalar reference; the engine
-/// suite proves it), warm-up excluded via `reset_stats`. A third,
-/// attributed pass over the same search stream produces the per-field
-/// miss shares; it is kept off the timing sink so the timing phase
-/// stays on the fast path (attribution is bit-identical anyway — the
-/// differential test below pins that).
+/// suite proves it), warm-up excluded via `reset_stats`. The search
+/// sink runs with field attribution on, which leaves its statistics
+/// bit-identical (the differential test below pins that); its profile
+/// spans warm-up and measurement alike (`reset_stats` keeps it) and
+/// gives the per-field miss shares.
 pub fn run_field_case(
     machine: &MachineConfig,
     n: u64,
@@ -289,9 +289,17 @@ pub fn run_field_case(
     scans: u64,
 ) -> FieldCaseResult {
     let (t, layout) = build_fat_case(machine, n, case);
+    let fmap = Arc::new(match &layout {
+        Some(l) => field_map_for(l, t.len()),
+        None => field_map_for_aos(aos_base(&t), n),
+    });
 
-    // Search phase.
+    // Search phase, field funnel on.
     let mut sink = BatchSink::new(*machine);
+    let mut regions = RegionMap::new();
+    regions.register("fat", 0, u64::MAX);
+    sink.enable_attribution(Arc::new(regions));
+    sink.enable_field_attribution(fmap);
     let mut rng = SplitMix64::new(0xF1E1D);
     for _ in 0..warmup {
         t.search(2 * rng.below(n), &mut sink);
@@ -306,24 +314,9 @@ pub fn run_field_case(
     let search_us = search_cycles / searches as f64 / machine.cycles_per_us();
     let search_l1_miss_pct = 100.0 * sink.system().l1_stats().miss_rate();
 
-    // Attributed pass: same stream, field funnel on.
-    let fmap = Arc::new(match &layout {
-        Some(l) => field_map_for(l, t.len()),
-        None => field_map_for_aos(aos_base(&t), n),
-    });
-    let mut attrib_sink = BatchSink::new(*machine);
-    let mut regions = RegionMap::new();
-    regions.register("fat", 0, u64::MAX);
-    attrib_sink.enable_attribution(Arc::new(regions));
-    attrib_sink.enable_field_attribution(Arc::clone(&fmap));
-    let mut rng = SplitMix64::new(0xF1E1D);
-    for _ in 0..warmup + searches {
-        t.search(2 * rng.below(n), &mut attrib_sink);
-    }
-    attrib_sink.flush();
     // `field_weights` reports raw miss counts; normalize to shares and
     // order hottest first.
-    let mut field_misses: Vec<(String, f64)> = attrib_sink
+    let mut field_misses: Vec<(String, f64)> = sink
         .attribution()
         .map(|p| {
             let raw = p.field_weights(Level::L1);

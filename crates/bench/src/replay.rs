@@ -201,8 +201,10 @@ impl<'a> SearchReplay<'a> {
     }
 
     /// Enables per-region miss attribution on every shard lane (see
-    /// [`ShardedReplayer::enable_attribution`]). Replay forfeits its
-    /// memoized fast paths — slower wall-clock, bit-identical results.
+    /// [`ShardedReplayer::enable_attribution`]). The lanes keep their
+    /// fast replay and report each probe; the split keeps every probe
+    /// for them (no split-time memo hits), and results stay
+    /// bit-identical.
     pub fn enable_attribution(&mut self, map: std::sync::Arc<cc_obs::RegionMap>) {
         self.replayer.enable_attribution(map);
     }

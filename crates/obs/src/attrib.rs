@@ -12,8 +12,9 @@
 //!   evicting *each other* want coloring into disjoint sets. This is
 //!   exactly the signal the paper's coloring decisions consume.
 //!
-//! The profile is exact, not sampled: when attribution is enabled the
-//! simulator takes its reference paths (no batching memos), so tallies
+//! The profile is exact, not sampled: when attribution is enabled every
+//! simulator path — the scalar reference and the batched and sharded
+//! shortcuts alike — reports each demand access it resolves, so tallies
 //! here sum to the same totals as the whole-run `CacheStats`.
 
 use std::collections::BTreeMap;
@@ -87,6 +88,18 @@ struct FieldAttrib {
     /// `[level][field id]`.
     levels: [Vec<RegionTally>; 2],
     map: Arc<FieldMap>,
+    /// The extent the last access resolved in, where the next lookup
+    /// starts (see `FieldMap::resolve_near`).
+    hint: usize,
+}
+
+/// A run of `count` evictions of one `(victim, evictor)` pair at one
+/// level; `count == 0` is an empty run.
+#[derive(Clone, Copy, Debug, Default)]
+struct EvictionRun {
+    victim: u32,
+    evictor: u32,
+    count: u64,
 }
 
 /// Accumulates attribution events against a fixed [`RegionMap`].
@@ -98,6 +111,12 @@ pub struct MissProfile {
     /// `(level index, victim id, evictor id) → count`. A `BTreeMap`
     /// keeps export order deterministic for golden-file tests.
     conflicts: BTreeMap<(u8, u32, u32), u64>,
+    /// Per level, the run of identical `(victim, evictor)` evictions not
+    /// yet folded into `conflicts`: consecutive evictions at a level
+    /// mostly repeat one pair, so each costs a compare and an add, and
+    /// the map sees one insert per run. Readers fold the runs back in
+    /// (`MissProfile::settled_conflicts`).
+    runs: [EvictionRun; 2],
     /// Field-level tallies, absent unless
     /// [`MissProfile::enable_fields`] opted in. Boxed: the common
     /// region-only profile pays one pointer.
@@ -112,6 +131,7 @@ impl MissProfile {
             map,
             levels: [tallies.clone(), tallies],
             conflicts: BTreeMap::new(),
+            runs: [EvictionRun::default(); 2],
             fields: None,
         }
     }
@@ -125,6 +145,7 @@ impl MissProfile {
             map: fmap,
             levels: [tallies.clone(), tallies],
             unattributed: [RegionTally::default(); 2],
+            hint: 0,
         }));
     }
 
@@ -144,11 +165,13 @@ impl MissProfile {
     }
 
     /// Resolves `addr` through the profile's region map.
+    #[inline]
     pub fn resolve(&self, addr: u64) -> RegionId {
         self.map.resolve(addr)
     }
 
     /// Records one demand access by `region` at `level`.
+    #[inline]
     pub fn record_access(&mut self, level: Level, region: RegionId, hit: bool) {
         let t = &mut self.levels[level.index()][region.index()];
         t.accesses += 1;
@@ -164,11 +187,12 @@ impl MissProfile {
     /// `addr` must be the first *referenced* byte the block access
     /// covers — block-aligned addresses would alias every field sharing
     /// the block.
+    #[inline]
     pub fn record_field_access(&mut self, level: Level, addr: u64, hit: bool) {
         let Some(f) = self.fields.as_deref_mut() else {
             return;
         };
-        let t = match f.map.resolve(addr) {
+        let t = match f.map.resolve_near(addr, &mut f.hint) {
             Some(field) => &mut f.levels[level.index()][field.index()],
             None => &mut f.unattributed[level.index()],
         };
@@ -182,12 +206,44 @@ impl MissProfile {
 
     /// Records that a fill by `evictor` evicted a block owned by
     /// `victim` at `level`.
+    #[inline]
     pub fn record_eviction(&mut self, level: Level, victim: RegionId, evictor: RegionId) {
         self.levels[level.index()][victim.index()].evictions += 1;
-        *self
-            .conflicts
-            .entry((level.index() as u8, victim.raw(), evictor.raw()))
-            .or_insert(0) += 1;
+        let run = &mut self.runs[level.index()];
+        if run.victim == victim.raw() && run.evictor == evictor.raw() {
+            run.count += 1;
+            return;
+        }
+        let done = std::mem::replace(
+            run,
+            EvictionRun {
+                victim: victim.raw(),
+                evictor: evictor.raw(),
+                count: 1,
+            },
+        );
+        Self::fold_run(&mut self.conflicts, level.index(), done);
+    }
+
+    /// Adds one eviction run into a conflict map.
+    fn fold_run(conflicts: &mut BTreeMap<(u8, u32, u32), u64>, level: usize, run: EvictionRun) {
+        if run.count > 0 {
+            *conflicts
+                .entry((level as u8, run.victim, run.evictor))
+                .or_insert(0) += run.count;
+        }
+    }
+
+    /// The conflict counts with the pending eviction runs folded in.
+    fn settled_conflicts(&self) -> std::borrow::Cow<'_, BTreeMap<(u8, u32, u32), u64>> {
+        if self.runs.iter().all(|r| r.count == 0) {
+            return std::borrow::Cow::Borrowed(&self.conflicts);
+        }
+        let mut all = self.conflicts.clone();
+        for (level, &run) in self.runs.iter().enumerate() {
+            Self::fold_run(&mut all, level, run);
+        }
+        std::borrow::Cow::Owned(all)
     }
 
     /// Folds another profile (same region map) into this one.
@@ -209,7 +265,7 @@ impl MissProfile {
                 t.evictions += o.evictions;
             }
         }
-        for (&k, &v) in &other.conflicts {
+        for (&k, &v) in other.settled_conflicts().iter() {
             *self.conflicts.entry(k).or_insert(0) += v;
         }
         match (self.fields.as_deref_mut(), other.fields.as_deref()) {
@@ -313,7 +369,7 @@ impl MissProfile {
     /// All conflict pairs with at least one eviction, ordered by
     /// (level, victim, evictor).
     pub fn conflict_pairs(&self) -> Vec<ConflictPair> {
-        self.conflicts
+        self.settled_conflicts()
             .iter()
             .map(|(&(level, victim, evictor), &count)| ConflictPair {
                 level: if level == 0 { Level::L1 } else { Level::L2 },
@@ -351,7 +407,8 @@ impl MissProfile {
             out.push('}');
         }
         out.push_str("],\"conflicts\":[");
-        for (i, (&(level, victim, evictor), &count)) in self.conflicts.iter().enumerate() {
+        for (i, (&(level, victim, evictor), &count)) in self.settled_conflicts().iter().enumerate()
+        {
             if i > 0 {
                 out.push(',');
             }

@@ -59,6 +59,10 @@ struct Extent {
     table: u32,
 }
 
+/// Largest object (span-table end, in bytes) that gets a byte-offset
+/// index; larger tables resolve by binary search alone.
+const OFFSET_INDEX_MAX: u64 = 4096;
+
 /// Field-level address resolution: interned names, span tables, and
 /// strided object extents.
 ///
@@ -87,6 +91,12 @@ pub struct FieldMap {
     tables: Vec<Vec<FieldSpan>>,
     /// Sorted by `start`; extents never overlap.
     extents: Vec<Extent>,
+    /// Per span table, a byte-offset index: entry `o` is one plus the id
+    /// of the field covering offset `o`, or zero for padding. Built for
+    /// tables that end within [`OFFSET_INDEX_MAX`] bytes (every object
+    /// the simulator lays out); an offset past the index falls back to
+    /// the binary search over the spans.
+    offset_index: Vec<Vec<u32>>,
 }
 
 impl FieldMap {
@@ -137,6 +147,15 @@ impl FieldMap {
                 pair[1].offset,
             );
         }
+        let end = table.last().map_or(0, |s| s.offset + s.size);
+        let mut index = Vec::new();
+        if end <= OFFSET_INDEX_MAX {
+            index.resize(end as usize, 0);
+            for s in &table {
+                index[s.offset as usize..(s.offset + s.size) as usize].fill(s.field + 1);
+            }
+        }
+        self.offset_index.push(index);
         self.tables.push(table);
         (self.tables.len() - 1) as u32
     }
@@ -175,12 +194,39 @@ impl FieldMap {
     /// The field owning `addr`, or `None` if the address is outside
     /// every extent or in padding between field spans.
     pub fn resolve(&self, addr: u64) -> Option<FieldId> {
-        let idx = self.extents.partition_point(|e| e.start <= addr);
-        let e = self.extents[idx.checked_sub(1)?];
-        if addr >= e.end {
-            return None;
+        self.resolve_near(addr, &mut 0)
+    }
+
+    /// [`FieldMap::resolve`] starting from the extent `hint` names (the
+    /// one the previous lookup landed in), falling back to the binary
+    /// search only when `addr` lies outside it; `hint` is updated to the
+    /// extent this lookup found. A pointer chase through one arena stays
+    /// in one extent, so the per-access cost drops to two compares, the
+    /// offset reduction (a mask for a power-of-two stride, not a
+    /// division) and one load from the table's byte-offset index.
+    #[inline]
+    pub(crate) fn resolve_near(&self, addr: u64, hint: &mut usize) -> Option<FieldId> {
+        let e = match self.extents.get(*hint) {
+            Some(e) if e.start <= addr && addr < e.end => *e,
+            _ => {
+                let idx = self.extents.partition_point(|e| e.start <= addr);
+                let e = self.extents[idx.checked_sub(1)?];
+                if addr >= e.end {
+                    return None;
+                }
+                *hint = idx - 1;
+                e
+            }
+        };
+        let rel = addr - e.start;
+        let off = if e.stride.is_power_of_two() {
+            rel & (e.stride - 1)
+        } else {
+            rel % e.stride
+        };
+        if let Some(&f) = self.offset_index[e.table as usize].get(off as usize) {
+            return f.checked_sub(1).map(FieldId);
         }
-        let off = (addr - e.start) % e.stride;
         let table = &self.tables[e.table as usize];
         let s = table[table.partition_point(|s| s.offset <= off).checked_sub(1)?];
         (off < s.offset + s.size).then_some(FieldId(s.field))

@@ -118,6 +118,7 @@ impl RegionMap {
     }
 
     /// The region owning `addr`, or [`RegionId::OTHER`].
+    #[inline]
     pub fn resolve(&self, addr: u64) -> RegionId {
         let idx = self.ranges.partition_point(|r| r.start <= addr);
         match idx.checked_sub(1).map(|i| self.ranges[i]) {

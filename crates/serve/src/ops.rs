@@ -27,6 +27,10 @@
 //!   sampled-cache miss records, so a warm request skips tree
 //!   construction as well as traversal (the tree is a pure function of
 //!   its recipe, so replies do not change).
+//! * **Field-morph legs side by side** — a field-transform `morph` runs
+//!   its AoS leg on the worker thread and its transformed leg on a
+//!   scoped thread; both poll the same [`Gate`], and the reply is built
+//!   from the two legs exactly as when they ran one after the other.
 //! * **Chaos** — when (and only when) the server was started with
 //!   `allow_chaos`, a request may carry `chaos_panic` /
 //!   `chaos_panic_mid` to detonate the worker at a chosen point; the
@@ -696,9 +700,13 @@ fn field_morph(env: &OpEnv<'_>, params: &Json, name: &str, chaos: &ChaosPlan) ->
         ));
     }
 
-    // The mid-request chaos switch detonates after the first chunk of
-    // the first leg, matching the full path's "at least one segment
-    // ran" point.
+    // The two legs share nothing but the machine and the gate, so the
+    // transformed leg runs on a scoped thread while the AoS leg runs
+    // here; each polls the gate between chunks, so an expired deadline
+    // or a drain stops both. The mid-request chaos switch stays on this
+    // thread and detonates after the first chunk of the AoS leg,
+    // matching the full path's "at least one segment ran" point; the
+    // scope joins the other leg and then re-raises the original panic.
     let machine = MachineConfig::ultrasparc_e5000();
     let polls = AtomicU64::new(0);
     let base_check = || {
@@ -707,8 +715,16 @@ fn field_morph(env: &OpEnv<'_>, params: &Json, name: &str, chaos: &ChaosPlan) ->
         }
         env.gate.check()
     };
-    let base = run_field_leg(&machine, keys, FieldCase::Aos, searches, seed, base_check)?;
-    let after = run_field_leg(&machine, keys, case, searches, seed, || env.gate.check())?;
+    let (base, after) = std::thread::scope(|s| {
+        let after =
+            s.spawn(|| run_field_leg(&machine, keys, case, searches, seed, || env.gate.check()));
+        let base = run_field_leg(&machine, keys, FieldCase::Aos, searches, seed, base_check);
+        let after = after
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        (base, after)
+    });
+    let (base, after) = (base?, after?);
 
     let delta_pct = |b: u64, a: u64| {
         if b == 0 {
@@ -1166,6 +1182,122 @@ mod tests {
         // Same request, same bytes.
         let again = morph(&env, &params).unwrap();
         assert_eq!(r.encode(), again.encode());
+    }
+
+    /// FNV-1a (64-bit) over a reply's encoded bytes.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The field byte-pin: a field `morph`'s whole encoded reply, for
+    /// every transform, at the serve-mix request shape (4,095 keys,
+    /// 1,500 searches). The hashes were recorded before the attributed
+    /// legs moved onto the batched fast paths and ran side by side; any
+    /// change to a simulated count, a field tally or the reply layout
+    /// moves them.
+    #[test]
+    fn field_morph_reply_bytes_are_pinned() {
+        let (store, limits, session) = env_parts();
+        let gate = far_gate();
+        let noop = || {};
+        let env = OpEnv {
+            store: &store,
+            limits: &limits,
+            session: &session,
+            gate: &gate,
+            allow_chaos: false,
+            quota_bypass: &noop,
+        };
+        let pins = [
+            ("reorder", 0x2664_8708_cb64_56a0_u64),
+            ("hot_cold", 0x0afb_20e3_433a_9da7),
+            ("soa", 0x6edf_7ea7_691e_c57f),
+        ];
+        let got: Vec<(&str, u64)> = pins
+            .iter()
+            .map(|&(transform, _)| {
+                let params = Json::obj([
+                    ("transform", Json::str(transform)),
+                    ("keys", Json::Uint(4095)),
+                    ("searches", Json::Uint(1500)),
+                    ("seed", Json::Uint(0xF1E1D)),
+                ]);
+                let reply = morph(&env, &params).unwrap().encode();
+                (transform, fnv1a(reply.as_bytes()))
+            })
+            .collect();
+        assert_eq!(got, pins, "field morph reply bytes moved");
+    }
+
+    /// The AoS leg keeps the mid-request chaos hook while the other leg
+    /// runs on its own thread: the panic still reaches the worker's
+    /// `catch_unwind` with its original payload.
+    #[test]
+    fn field_morph_chaos_panic_mid_keeps_its_payload() {
+        let (store, limits, session) = env_parts();
+        let gate = far_gate();
+        let noop = || {};
+        let env = OpEnv {
+            store: &store,
+            limits: &limits,
+            session: &session,
+            gate: &gate,
+            allow_chaos: true,
+            quota_bypass: &noop,
+        };
+        let params = Json::obj([
+            ("transform", Json::str("hot_cold")),
+            ("keys", Json::Uint(4095)),
+            ("searches", Json::Uint(1500)),
+            ("chaos_panic_mid", Json::Bool(true)),
+        ]);
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| morph(&env, &params)));
+        std::panic::set_hook(prev);
+        let payload = r.expect_err("chaos_panic_mid must panic the worker");
+        assert_eq!(
+            payload.downcast_ref::<&str>().copied(),
+            Some("chaos: injected mid-request worker panic")
+        );
+    }
+
+    /// Both legs poll the one gate: with it already expired, a field
+    /// `morph` whose legs would each replay 20M searches answers
+    /// `deadline_exceeded` at once instead of waiting out either leg.
+    #[test]
+    fn field_morph_expired_gate_stops_both_legs() {
+        let (store, mut limits, session) = env_parts();
+        limits.max_replay_events = u64::MAX;
+        let gate = Gate::with_deadline(Instant::now() - Duration::from_millis(1));
+        let noop = || {};
+        let env = OpEnv {
+            store: &store,
+            limits: &limits,
+            session: &session,
+            gate: &gate,
+            allow_chaos: false,
+            quota_bypass: &noop,
+        };
+        for transform in ["reorder", "hot_cold", "soa"] {
+            let params = Json::obj([
+                ("transform", Json::str(transform)),
+                ("keys", Json::Uint(4095)),
+                ("searches", Json::Uint(20_000_000)),
+            ]);
+            let start = Instant::now();
+            let (kind, _) = morph(&env, &params).unwrap_err();
+            assert_eq!(kind, ErrorKind::DeadlineExceeded, "{transform}");
+            // A leg that ignored the gate would run for tens of seconds
+            // even in a release build.
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "{transform}: a leg kept replaying past the deadline ({:?})",
+                start.elapsed()
+            );
+        }
     }
 
     #[test]

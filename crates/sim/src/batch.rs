@@ -51,6 +51,7 @@
 use crate::cache::ReadTally;
 use crate::event::{Event, EventSink, NullSink};
 use crate::hierarchy::{AccessKind, MemorySystem};
+use cc_obs::attrib::Level as ObsLevel;
 
 /// Packed event kind for [`TraceBuf`]'s kind lane.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -853,7 +854,26 @@ impl MemorySystem {
     /// `now` is the logical clock *before* the first event; like the
     /// scalar sink, each event advances the clock by one before being
     /// processed.
+    ///
+    /// With attribution enabled the same shortcuts run, and each reports
+    /// the probes it resolves to the profile; the choice is made once
+    /// per batch, so the unattributed drain carries no attribution test.
     pub fn access_batch(
+        &mut self,
+        buf: &TraceBuf,
+        now: u64,
+        cursor: &mut BatchCursor,
+    ) -> BatchOutcome {
+        if self.attrib.is_some() {
+            self.drain_batch::<true>(buf, now, cursor)
+        } else {
+            self.drain_batch::<false>(buf, now, cursor)
+        }
+    }
+
+    /// The body of [`MemorySystem::access_batch`], instantiated once per
+    /// attribution setting.
+    fn drain_batch<const ATTRIB: bool>(
         &mut self,
         buf: &TraceBuf,
         now: u64,
@@ -905,12 +925,11 @@ impl MemorySystem {
         // load. A false negative is impossible; a stale `false` merely
         // routes loads through the reference slow path.
         let mut no_inflight = self.inflight.is_empty();
-        // Attribution needs to see every individual probe (region, hit,
-        // victim), so it forfeits the memo skips and inline read paths
-        // below and routes all loads through `access_block`. Stats and
-        // cycles are unchanged — those paths are provably-equivalent
-        // shortcuts — only the speed differs.
-        let attrib_on = self.attrib.is_some();
+        // Under `ATTRIB` every shortcut below still runs: a memo skip and
+        // a paired both-hit report their guaranteed L1 hits, and the
+        // inline read reports each probe with its victim, all at the
+        // first referenced byte of the block (`addr.max(b)`), exactly
+        // what `access_block` would have recorded.
 
         let entries = buf
             .kinds
@@ -977,7 +996,10 @@ impl MemorySystem {
                     let first_b = l1_geo.block_of(addr);
                     let last_b = l1_geo.block_of(addr + span);
                     let mut b = first_b;
-                    if !attrib_on && cursor.block == first_b {
+                    if cursor.block == first_b {
+                        if ATTRIB {
+                            self.attribute(ObsLevel::L1, addr, Some(true), None);
+                        }
                         l1_tally.reads += 1;
                         out.cycles += lat.l1_hit;
                         b += block_bytes;
@@ -988,13 +1010,12 @@ impl MemorySystem {
                     // one ever does), so ask it about this reference's
                     // L2 blocks only: the inline path is exact whenever
                     // none of them is in flight.
-                    let inline = !attrib_on
-                        && (no_inflight || {
-                            let (f2, l2) = (l2_geo.block_of(b), l2_geo.block_of(last_b));
-                            !(f2..=l2)
-                                .step_by(l2_geo.block_bytes() as usize)
-                                .any(|x| self.inflight.contains_key(&x))
-                        });
+                    let inline = no_inflight || {
+                        let (f2, l2) = (l2_geo.block_of(b), l2_geo.block_of(last_b));
+                        !(f2..=l2)
+                            .step_by(l2_geo.block_bytes() as usize)
+                            .any(|x| self.inflight.contains_key(&x))
+                    };
                     if inline {
                         // No prefetch covering these blocks is
                         // outstanding, so the in-flight probe
@@ -1011,13 +1032,20 @@ impl MemorySystem {
                             && last_b.wrapping_sub(b) == block_bytes
                             && self.l1.hit_pair(b, last_b)
                         {
+                            if ATTRIB {
+                                self.attribute(ObsLevel::L1, addr.max(b), Some(true), None);
+                                self.attribute(ObsLevel::L1, last_b, Some(true), None);
+                            }
                             l1_tally.reads += 2;
                             out.cycles += 2 * lat.l1_hit;
                         } else {
                             while b <= last_b {
-                                out.cycles += self.read_inline(
+                                // The block base probes the same line;
+                                // only attribution needs the exact byte.
+                                let at = if ATTRIB { addr.max(b) } else { b };
+                                out.cycles += self.read_inline::<ATTRIB>(
                                     read,
-                                    b,
+                                    at,
                                     &mut cursor.l2_block,
                                     &mut l1_tally,
                                     &mut l2_tally,
@@ -1119,8 +1147,12 @@ impl MemorySystem {
     /// Only exact while no prefetch covering the block is in flight and
     /// while every probe since `l2_memo` was set went through this path;
     /// the callers reset the memo otherwise.
+    ///
+    /// With `ATTRIB`, every probe — and the memoized L2 hit, which makes
+    /// none — is reported to the attribution profile at `addr`, which
+    /// must then be the first referenced byte of the block.
     #[inline(always)]
-    pub(crate) fn read_inline(
+    pub(crate) fn read_inline<const ATTRIB: bool>(
         &mut self,
         read: InlineRead,
         addr: u64,
@@ -1129,24 +1161,35 @@ impl MemorySystem {
         l2_tally: &mut ReadTally,
     ) -> u64 {
         let l1_hit = if read.l1_direct {
-            self.l1.read_direct(addr, l1_tally)
+            self.l1.read_direct::<ATTRIB>(addr, l1_tally)
         } else {
             self.l1.access(addr, false).hit
         };
+        if ATTRIB {
+            let victim = if l1_hit { None } else { self.l1.last_victim() };
+            self.attribute(ObsLevel::L1, addr, Some(l1_hit), victim);
+        }
         if l1_hit {
             return read.l1_hit;
         }
         let l2b = read.l2.block_of(addr);
         if *l2_memo == l2b {
+            if ATTRIB {
+                self.attribute(ObsLevel::L2, addr, Some(true), None);
+            }
             l2_tally.reads += 1;
             return read.l2_hit;
         }
         *l2_memo = l2b;
         let l2_hit = if read.l2_direct {
-            self.l2.read_direct(addr, l2_tally)
+            self.l2.read_direct::<ATTRIB>(addr, l2_tally)
         } else {
             self.l2.access(addr, false).hit
         };
+        if ATTRIB {
+            let victim = if l2_hit { None } else { self.l2.last_victim() };
+            self.attribute(ObsLevel::L2, addr, Some(l2_hit), victim);
+        }
         if l2_hit {
             read.l2_hit
         } else {
@@ -1369,10 +1412,11 @@ impl<O: EventSink> BatchSink<O> {
     /// Enables per-region miss attribution. Flushes buffered events first so
     /// the profile covers exactly the events delivered after this call.
     ///
-    /// Attribution disables the batched fast paths and block memos (they
-    /// aggregate probes the profiler must observe individually), so the
-    /// stream costs more wall-clock time — but statistics and cycle totals
-    /// remain bit-identical to the unattributed run.
+    /// The batched fast paths and block memos stay on: each reports the
+    /// probes it resolves (or proves a hit without making), so the
+    /// profile matches the scalar engine's and statistics and cycle
+    /// totals remain bit-identical to the unattributed run. The
+    /// per-probe bookkeeping is the whole extra cost.
     pub fn enable_attribution(&mut self, map: std::sync::Arc<cc_obs::RegionMap>) {
         self.flush();
         self.system.enable_attribution(map);

@@ -179,9 +179,10 @@ impl Cache {
     }
 
     /// The block address the most recent [`Cache::access`] /
-    /// [`Cache::fill`] evicted, if any. The batched direct-mapped fast
-    /// paths do not maintain this; they are disabled while attribution
-    /// (the only consumer) is enabled.
+    /// [`Cache::fill`] evicted, if any. [`Cache::read_direct`] maintains
+    /// it only on a miss, and only when its attributing caller asks; a
+    /// direct-mapped hit evicts nothing, so that caller reports no victim
+    /// for hits without reading this.
     pub(crate) fn last_victim(&self) -> Option<u64> {
         (self.last_victim != NO_VICTIM).then_some(self.last_victim)
     }
@@ -223,10 +224,17 @@ impl Cache {
     /// in `tally` instead — plain register arithmetic with no
     /// data-dependent branches — and the batched caller flushes the tally
     /// with [`CacheStats::add_read_tally`] once per batch, which is
-    /// equivalent because nothing observes the counters mid-batch. The
-    /// caller must ensure `geometry().assoc() == 1`.
+    /// equivalent because nothing observes the counters mid-batch. With
+    /// `VICTIM`, a miss also records the block it evicted for
+    /// [`Cache::last_victim`] (miss attribution's conflict pairs); the
+    /// unattributed instantiation carries no trace of it. The caller
+    /// must ensure `geometry().assoc() == 1`.
     #[inline]
-    pub(crate) fn read_direct(&mut self, addr: u64, tally: &mut ReadTally) -> bool {
+    pub(crate) fn read_direct<const VICTIM: bool>(
+        &mut self,
+        addr: u64,
+        tally: &mut ReadTally,
+    ) -> bool {
         debug_assert_eq!(self.geometry.assoc(), 1);
         let tag = self.geometry.tag_of(addr);
         debug_assert_ne!(tag, TAG_INVALID, "address tag collides with the sentinel");
@@ -236,6 +244,13 @@ impl Cache {
             return true;
         }
         let was_valid = self.tags[set] != TAG_INVALID;
+        if VICTIM {
+            self.last_victim = if was_valid {
+                self.geometry.block_addr(self.tags[set], set as u64)
+            } else {
+                NO_VICTIM
+            };
+        }
         // One test-and-set: a read miss always allocates, so the block
         // joins the residency set whether or not it was there.
         let seen = !self.ever_resident.insert(addr);

@@ -77,9 +77,11 @@ pub struct MemorySystem {
     pub(crate) inflight: FastHashMap<u64, u64>,
     /// Per-region miss attribution, absent unless a caller opted in via
     /// [`MemorySystem::enable_attribution`]. Boxed so the disabled case
-    /// costs one pointer in the struct and one null test per block
-    /// access; while enabled, the batched fast paths that skip cache
-    /// probes are turned off so every access is individually resolved.
+    /// costs one pointer in the struct and one null test per scalar block
+    /// access. The batched and sharded fast paths test it once per batch
+    /// or lane and run an attributing instantiation that reports every
+    /// probe it makes — or proves a hit without making — at the probe's
+    /// first referenced byte.
     pub(crate) attrib: Option<Box<MissProfile>>,
 }
 
@@ -97,10 +99,11 @@ impl MemorySystem {
     }
 
     /// Starts attributing every demand access and eviction to the
-    /// regions of `map`. Replay results (stats, cycles) are unchanged —
-    /// attribution only disables provably-equivalent batching shortcuts
-    /// — but replay runs slower; see DESIGN.md §11 for the measured
-    /// cost.
+    /// regions of `map`. Replay results (stats, cycles) are unchanged,
+    /// and the batched and sharded engines keep their fast paths (memo
+    /// skips, the paired both-hit probe, the inline read), each reporting
+    /// the probes it resolves; the per-probe bookkeeping is what
+    /// attribution costs (DESIGN.md §19 has the measured ratio).
     pub fn enable_attribution(&mut self, map: Arc<RegionMap>) {
         self.attrib = Some(Box::new(MissProfile::new(map)));
     }
@@ -136,12 +139,26 @@ impl MemorySystem {
         self.attrib.take().map(|b| *b)
     }
 
-    /// Records one attribution event: a demand access (`hit` is
-    /// `Some`) or a bare fill (`hit` is `None`), plus the eviction it
-    /// caused, if any. Kept out of line so the disabled hot path pays
-    /// only the `is_some` test at each call site.
+    /// [`MemorySystem::attribute`] for the scalar reference path. Kept
+    /// out of line so an unattributed scalar access pays only the
+    /// `is_some` test at each call site.
     #[cold]
     fn note(&mut self, level: ObsLevel, addr: u64, hit: Option<bool>, victim: Option<u64>) {
+        self.attribute(level, addr, hit, victim);
+    }
+
+    /// Records one attribution event: a demand access (`hit` is
+    /// `Some`) or a bare fill (`hit` is `None`), plus the eviction it
+    /// caused, if any. The fast paths call it directly from their
+    /// attributing instantiations.
+    #[inline(always)]
+    pub(crate) fn attribute(
+        &mut self,
+        level: ObsLevel,
+        addr: u64,
+        hit: Option<bool>,
+        victim: Option<u64>,
+    ) {
         let Some(p) = self.attrib.as_deref_mut() else {
             return;
         };

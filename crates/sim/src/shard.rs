@@ -628,10 +628,10 @@ impl ShardedReplayer {
     }
 
     /// Starts attributing every lane's accesses and evictions to the
-    /// regions of `map`. Workers route through the serial reference
-    /// replay (the memoizing fast path cannot observe per-probe
-    /// outcomes), and [`ShardedReplayer::split_pooled`] switches to the
-    /// unmemoized split; statistics and cycles are unchanged. Splits
+    /// regions of `map`. Workers keep the fast lane replay, reporting
+    /// each probe, and [`ShardedReplayer::split_pooled`] switches to the
+    /// unmemoized split (a hit resolved at split time carries no
+    /// address to attribute); statistics and cycles are unchanged. Splits
     /// produced *before* enabling attribution carry resolved memo hits
     /// that attribution cannot see — re-split for complete totals.
     pub fn enable_attribution(&mut self, map: std::sync::Arc<cc_obs::RegionMap>) {
@@ -925,11 +925,9 @@ fn run_lane(sys: &mut MemorySystem, lane: &Lane, base_now: u64, poison: bool) ->
             panic!("injected shard-worker poison");
         }
         if sys.attribution_enabled() {
-            // Attribution observes individual probes; take the exact
-            // reference path instead of the memoizing fast replay.
-            replay_lane_reference(sys, lane, base_now)
+            replay_lane_fast::<true>(sys, lane, base_now)
         } else {
-            replay_lane_fast(sys, lane, base_now)
+            replay_lane_fast::<false>(sys, lane, base_now)
         }
     }));
     match fast {
@@ -969,7 +967,10 @@ fn run_lane(sys: &mut MemorySystem, lane: &Lane, base_now: u64, poison: bool) ->
 /// L2 block is in flight, the per-reference check `access_batch` makes:
 /// with prefetches outstanding the in-flight map never empties again, so
 /// an all-or-nothing test would send every later read the slow way.
-fn replay_lane_fast(sys: &mut MemorySystem, lane: &Lane, base_now: u64) -> u64 {
+/// With `ATTRIB` the inline read reports each probe to the lane's
+/// profile; lane entries already carry each block's first referenced
+/// byte.
+fn replay_lane_fast<const ATTRIB: bool>(sys: &mut MemorySystem, lane: &Lane, base_now: u64) -> u64 {
     let mut cycles = 0u64;
     let mut l1_tally = ReadTally::default();
     let mut l2_tally = ReadTally::default();
@@ -983,7 +984,13 @@ fn replay_lane_fast(sys: &mut MemorySystem, lane: &Lane, base_now: u64) -> u64 {
                 if sys.inflight.is_empty()
                     || !sys.inflight.contains_key(&l2_geo.block_of(addr)) =>
             {
-                cycles += sys.read_inline(read, addr, &mut l2_memo, &mut l1_tally, &mut l2_tally);
+                cycles += sys.read_inline::<ATTRIB>(
+                    read,
+                    addr,
+                    &mut l2_memo,
+                    &mut l1_tally,
+                    &mut l2_tally,
+                );
             }
             OP_READ => {
                 sys.access_block(addr, false, base_now + lane.nows[i], &mut cycles);
