@@ -12,7 +12,8 @@
 //! packing and splitting happen once per trace while replays happen once
 //! per (scheme × trial × machine) cell. Traces themselves come from the
 //! content-addressed [`TraceStore`]: re-running the benchmark with
-//! `CC_TRACE_CACHE=dir` set skips recording entirely on warm keys.
+//! `CC_TRACE_CACHE=dir` set serves the replayed traces from disk on warm
+//! keys (the recording timer below still records afresh).
 //!
 //! The sharded engine is reported on two clocks:
 //!
@@ -50,6 +51,12 @@
 //! batched fast paths, so this ratio is what miss attribution costs; a
 //! change that knocks attributed replay off those paths shows up here
 //! as a jump.
+//!
+//! Beside it sits an ungated `record_ns_per_event`: the median, over the
+//! same laps, of recording the trace's searches afresh through a new
+//! [`TraceRecorder`], per decoded event. It is timed on the built tree
+//! every lap, never served from the store, so it prices the generation
+//! stage every store miss pays.
 //!
 //! The artifact also carries a `sampled_sim` block: the cc-sample
 //! representative-interval pipeline against the full replay of the same
@@ -96,6 +103,7 @@ use cc_sim::event::{EventSink, TraceBuffer};
 use cc_sim::shard::ShardedTrace;
 use cc_sim::{MachineConfig, MemorySink, MemorySystem, ShardedReplayer, TraceRecorder};
 use cc_sweep::{TraceKey, TraceStore};
+use cc_trees::bst::Bst;
 use criterion::black_box;
 use std::io::Write;
 use std::sync::Arc;
@@ -148,6 +156,7 @@ struct Timing {
     obs_overhead_pct: f64,
     obs_overhead_raw_pct: f64,
     attrib_slowdown_x: f64,
+    record_ns_per_event: f64,
     scalar_refs_per_sec: f64,
     batched_refs_per_sec: f64,
     sharded_refs_per_sec: f64,
@@ -340,25 +349,18 @@ fn trace_key(machine: &MachineConfig, spec: &CaseSpec) -> TraceKey {
         .fold(0x51EE7)
 }
 
-/// Fetches (or records) the packed trace for `spec`. The recording block
-/// matches fig5's measurement loop — same layouts, same RNG — so this is
-/// literally the figure's event stream.
-fn recorded_bufs(
-    machine: &MachineConfig,
-    spec: &CaseSpec,
-    store: &TraceStore,
-) -> Arc<Vec<TraceBuf>> {
+/// Records `spec`'s searches over `tree` through a fresh recorder. The
+/// recording block matches fig5's measurement loop — same layouts, same
+/// RNG — so this is literally the figure's event stream.
+fn record(tree: &Bst, spec: &CaseSpec) -> Vec<TraceBuf> {
     let n = (1u64 << spec.bits) - 1;
-    store.get_or_generate(trace_key(machine, spec), || {
-        let t = build_bst(machine, n, spec.tree);
-        let mut rec = TraceRecorder::new();
-        let mut rng = SplitMix64::new(0x51EE7);
-        for _ in 0..spec.searches {
-            let key = 2 * rng.below(n);
-            t.search(key, &mut rec, spec.sw_prefetch);
-        }
-        rec.finish()
-    })
+    let mut rec = TraceRecorder::new();
+    let mut rng = SplitMix64::new(0x51EE7);
+    for _ in 0..spec.searches {
+        let key = 2 * rng.below(n);
+        tree.search(key, &mut rec, spec.sw_prefetch);
+    }
+    rec.finish()
 }
 
 /// Replays the trace through the scalar reference sink; returns cycles as
@@ -627,6 +629,11 @@ fn write_json(
             f,
             "      \"attrib_slowdown_x\": {:.2},",
             t.attrib_slowdown_x
+        )?;
+        writeln!(
+            f,
+            "      \"record_ns_per_event\": {:.2},",
+            t.record_ns_per_event
         )?;
         writeln!(f, "      \"sharded_ns_per_replay\": {:.0},", t.sharded_ns)?;
         writeln!(
@@ -1036,6 +1043,8 @@ fn main() {
     }
 
     let mut timings = Vec::new();
+    // The headline trace, kept for the shard-scaling sweep below.
+    let mut scaling_bufs = None;
     // The attributed drain's region map: one region over the whole
     // address space, as the field legs use.
     let everywhere = {
@@ -1049,7 +1058,11 @@ fn main() {
             "preparing {} ({} layout, {keys} keys, {} searches)…",
             spec.name, spec.layout, spec.searches
         );
-        let bufs = recorded_bufs(&machine, spec, &store);
+        let tree = build_bst(&machine, keys, spec.tree);
+        let bufs = store.get_or_generate(trace_key(&machine, spec), || record(&tree, spec));
+        if spec.name == "fig5-ctree-full" {
+            scaling_bufs = Some(Arc::clone(&bufs));
+        }
         let chunks: &[TraceBuf] = &bufs;
         // Rebuild the flat event stream for the scalar engine once,
         // outside the timed region. Folded instruction and branch events
@@ -1072,6 +1085,7 @@ fn main() {
         let mut batched_s = Vec::with_capacity(reps);
         let mut batched_obs_s = Vec::with_capacity(reps);
         let mut batched_attrib_s = Vec::with_capacity(reps);
+        let mut record_s = Vec::with_capacity(reps);
         let mut sharded_s = Vec::with_capacity(reps);
         let mut sharded_wall_s = Vec::with_capacity(reps);
         for _ in 0..reps {
@@ -1091,6 +1105,9 @@ fn main() {
                 &everywhere,
             ));
             batched_attrib_s.push(start.elapsed().as_secs_f64());
+            let start = Instant::now();
+            black_box(record(black_box(&tree), spec));
+            record_s.push(start.elapsed().as_secs_f64());
             let (critical, cycles) =
                 run_sharded_serial(black_box(&machine), SHARDS, black_box(&split));
             black_box(cycles);
@@ -1122,6 +1139,7 @@ fn main() {
             .map(|(attrib, plain)| attrib / plain)
             .collect();
         let attrib_slowdown_x = median(&mut attrib_x);
+        let record_med = median(&mut record_s);
 
         let scalar_med = median(&mut scalar_s);
         let batched_med = median(&mut batched_s);
@@ -1150,6 +1168,7 @@ fn main() {
             obs_overhead_pct: obs_overhead_raw_pct.max(0.0),
             obs_overhead_raw_pct,
             attrib_slowdown_x,
+            record_ns_per_event: record_med * 1e9 / trace.events().len() as f64,
             scalar_refs_per_sec: memory_refs as f64 / scalar_med,
             batched_refs_per_sec: memory_refs as f64 / batched_med,
             sharded_refs_per_sec: memory_refs as f64 / sharded_med,
@@ -1163,14 +1182,9 @@ fn main() {
         });
     }
 
-    // Shard-count scaling on the headline trace. The trace comes back out
-    // of the store (a warm hit — recording already happened above), and
-    // every shard count shares that one cached trace.
-    let scaling_spec = cases
-        .iter()
-        .find(|c| c.name == "fig5-ctree-full")
-        .expect("scaling trace present in both modes");
-    let bufs = recorded_bufs(&machine, scaling_spec, &store);
+    // Shard-count scaling on the headline trace: every shard count
+    // shares the one trace recorded above.
+    let bufs = scaling_bufs.expect("scaling trace present in both modes");
     let mut scaling = Vec::new();
     eprintln!("shard scaling on fig5-ctree-full…");
     for shards in [1usize, 2, 4, 8] {
@@ -1236,6 +1250,14 @@ fn main() {
         timings
             .iter()
             .map(|t| format!("{} {:.2}x", t.name, t.attrib_slowdown_x))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    println!(
+        "recording through a fresh TraceRecorder (median ns/event): {}",
+        timings
+            .iter()
+            .map(|t| format!("{} {:.2}", t.name, t.record_ns_per_event))
             .collect::<Vec<_>>()
             .join(", ")
     );

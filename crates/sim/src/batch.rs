@@ -329,18 +329,57 @@ impl TraceBuf {
                 return true;
             }
         };
-        match self.ticks.last_mut() {
-            Some(t) if *t < u32::MAX => *t += 1,
-            _ => {
-                if self.is_full() {
-                    return false;
-                }
-                self.push_ticks(1);
-            }
+        if self.try_fold_tick(insts, branches) {
+            return true;
         }
+        if self.is_full() {
+            return false;
+        }
+        self.push_ticks(1);
         self.insts += u64::from(insts);
         self.branches += u64::from(branches);
         true
+    }
+
+    /// The hot half of [`TraceBuf::push_folded`] for a memory event: one
+    /// capacity check, then one push per lane. Returns `false`, staging
+    /// nothing, when the buffer is full.
+    #[inline(always)]
+    pub(crate) fn try_push_mem(&mut self, kind: PackedKind, addr: u64, size: u32) -> bool {
+        if self.is_full() {
+            return false;
+        }
+        self.kinds.push(kind);
+        self.addrs.push(addr);
+        self.sizes.push(size);
+        self.ticks.push(0);
+        true
+    }
+
+    /// The hot half of [`TraceBuf::push_folded`] for an `Inst`/`Branch`
+    /// event: one tick on the trailing entry, its counts into the
+    /// buffer's totals. Returns `false`, staging nothing, when there is
+    /// no trailing entry or its tick lane is saturated.
+    #[inline(always)]
+    pub(crate) fn try_fold_tick(&mut self, insts: u32, branches: u32) -> bool {
+        match self.ticks.last_mut() {
+            Some(t) if *t < u32::MAX => {
+                *t += 1;
+                self.insts += u64::from(insts);
+                self.branches += u64::from(branches);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Trims the lanes' allocations to their length — for a chunk that
+    /// will be kept but never filled further.
+    fn shrink_to_fit(&mut self) {
+        self.kinds.shrink_to_fit();
+        self.addrs.shrink_to_fit();
+        self.sizes.shrink_to_fit();
+        self.ticks.shrink_to_fit();
     }
 
     /// Streams the memory-referencing entries (loads, stores, prefetches)
@@ -1240,7 +1279,9 @@ impl InlineRead {
 /// An optional observer receives every event as it arrives (before
 /// batching), for consumers that need the raw stream — an
 /// [`crate::AffinityTrace`], a [`crate::Tee`], a recorder. Without one,
-/// the hot loop carries no per-event observer dispatch at all.
+/// the hot loop carries no per-event observer dispatch at all, and the
+/// convenience methods stage through the same fast path as
+/// [`TraceRecorder`]'s.
 ///
 /// # Example
 ///
@@ -1480,7 +1521,81 @@ impl<O: EventSink> BatchSink<O> {
     }
 }
 
+/// Delivers `ev` through [`EventSink::event`] — the cold side of the
+/// staging fast paths, kept out of line so the hot side stays small.
+#[cold]
+#[inline(never)]
+fn event_cold<S: EventSink>(sink: &mut S, ev: Event) {
+    sink.event(ev);
+}
+
+/// The six [`EventSink`] convenience methods over the staging fast path
+/// of a [`TraceBuf`]. `$s => $buf` names the sink and yields the buffer
+/// to stage into, or `None` when every event must take
+/// [`EventSink::event`] (an observer must see it first). A memory event
+/// costs one capacity check and four lane pushes; an `Inst`/`Branch`
+/// costs one tick bump on the trailing entry. Only the cold cases — an
+/// empty or full buffer, a saturated tick lane — go through `event()`,
+/// whose packing rule ([`TraceBuf::push_folded`]) the fast path
+/// shortcuts, so both routes stage identical lanes.
+macro_rules! staging_fast_path {
+    ($s:ident => $buf:expr) => {
+        #[inline]
+        fn inst(&mut self, n: u32) {
+            let $s = &mut *self;
+            if !$buf.is_some_and(|b| b.try_fold_tick(n, 0)) {
+                event_cold(self, Event::Inst(n));
+            }
+        }
+
+        #[inline]
+        fn branch(&mut self, n: u32) {
+            let $s = &mut *self;
+            if !$buf.is_some_and(|b| b.try_fold_tick(0, n)) {
+                event_cold(self, Event::Branch(n));
+            }
+        }
+
+        #[inline]
+        fn load(&mut self, addr: u64, size: u32) {
+            let $s = &mut *self;
+            if !$buf.is_some_and(|b| b.try_push_mem(PackedKind::LoadDep, addr, size)) {
+                event_cold(self, Event::load(addr, size));
+            }
+        }
+
+        #[inline]
+        fn load_indep(&mut self, addr: u64, size: u32) {
+            let $s = &mut *self;
+            if !$buf.is_some_and(|b| b.try_push_mem(PackedKind::LoadIndep, addr, size)) {
+                event_cold(self, Event::load_indep(addr, size));
+            }
+        }
+
+        #[inline]
+        fn store(&mut self, addr: u64, size: u32) {
+            let $s = &mut *self;
+            if !$buf.is_some_and(|b| b.try_push_mem(PackedKind::Store, addr, size)) {
+                event_cold(self, Event::store(addr, size));
+            }
+        }
+
+        #[inline]
+        fn prefetch(&mut self, addr: u64) {
+            let $s = &mut *self;
+            if !$buf.is_some_and(|b| b.try_push_mem(PackedKind::Prefetch, addr, 0)) {
+                event_cold(self, Event::Prefetch { addr });
+            }
+        }
+    };
+}
+
 impl<O: EventSink> EventSink for BatchSink<O> {
+    // Without an observer the convenience methods stage straight into the
+    // buffer; with one, every event goes through `event()` so the
+    // observer sees it first.
+    staging_fast_path!(s => s.observer.is_none().then_some(&mut s.buf));
+
     fn event(&mut self, ev: Event) {
         if let Some(obs) = &mut self.observer {
             obs.event(ev);
@@ -1510,6 +1625,12 @@ impl<O: EventSink> EventSink for BatchSink<O> {
 /// instruction and branch totals, and event count, from about a third of
 /// the entries a lossless [`TraceBuf::push`] packing stages for a
 /// load/inst/branch pointer chase.
+///
+/// The [`EventSink`] convenience methods (`load`, `inst`, …) stage the
+/// same lanes without going through [`Event`]: a memory event is one
+/// capacity check and four lane pushes, an `Inst`/`Branch` one tick
+/// bump. Only an empty or full chunk, or a saturated tick lane, takes
+/// the general path.
 ///
 /// # Example
 ///
@@ -1552,8 +1673,12 @@ impl TraceRecorder {
     }
 
     /// The recorded chunks, in stream order (none for an empty stream).
+    /// The last chunk's lanes are trimmed to their length: it is never
+    /// filled further, and a stored trace is budgeted by
+    /// [`TraceBuf::approx_bytes`], which counts entries, not capacity.
     pub fn finish(mut self) -> Vec<TraceBuf> {
         if !self.cur.is_empty() {
+            self.cur.shrink_to_fit();
             self.chunks.push(self.cur);
         }
         self.chunks
@@ -1577,6 +1702,8 @@ impl Default for TraceRecorder {
 }
 
 impl EventSink for TraceRecorder {
+    staging_fast_path!(s => Some(&mut s.cur));
+
     #[inline]
     fn event(&mut self, ev: Event) {
         if !self.cur.push_folded(ev) {
@@ -1983,6 +2110,29 @@ mod tests {
         out
     }
 
+    /// Routes every event through [`EventSink::event`], bypassing a
+    /// sink's convenience-method fast paths.
+    struct ViaEvent<'a, S: EventSink>(&'a mut S);
+
+    impl<S: EventSink> EventSink for ViaEvent<'_, S> {
+        fn event(&mut self, ev: Event) {
+            self.0.event(ev);
+        }
+    }
+
+    /// Every lane and total of a buffer, for exact comparison.
+    #[allow(clippy::type_complexity)]
+    fn lanes(b: &TraceBuf) -> (Vec<PackedKind>, Vec<u64>, Vec<u32>, Vec<u32>, u64, u64) {
+        (
+            b.kinds.clone(),
+            b.addrs.clone(),
+            b.sizes.clone(),
+            b.ticks.clone(),
+            b.insts,
+            b.branches,
+        )
+    }
+
     #[test]
     fn recorder_folds_past_a_saturated_tick_lane() {
         const NEAR: u64 = u32::MAX as u64 - 1;
@@ -2012,6 +2162,28 @@ mod tests {
             *rec.cur.ticks.last_mut().unwrap() = NEAR as u32;
             tail(&mut rec);
             let got = rec.finish();
+
+            // The convenience methods' fast path falls back exactly as
+            // `event()` packs, in the recorder and in the batched sink.
+            let mut slow = TraceRecorder::with_capacity(cap);
+            slow.event(Event::load(0x40, 8));
+            *slow.cur.ticks.last_mut().unwrap() = NEAR as u32;
+            tail(&mut ViaEvent(&mut slow));
+            assert_eq!(
+                got.iter().map(lanes).collect::<Vec<_>>(),
+                slow.finish().iter().map(lanes).collect::<Vec<_>>(),
+                "capacity {cap}"
+            );
+            let mut fast = BatchSink::with_capacity(overlapped(), 16);
+            let mut slow = BatchSink::with_capacity(overlapped(), 16);
+            fast.load(0x40, 8);
+            slow.event(Event::load(0x40, 8));
+            *fast.buf.ticks.last_mut().unwrap() = NEAR as u32;
+            *slow.buf.ticks.last_mut().unwrap() = NEAR as u32;
+            tail(&mut fast);
+            tail(&mut ViaEvent(&mut slow));
+            assert_eq!(lanes(&fast.buf), lanes(&slow.buf));
+
             assert_eq!(
                 replay_totals(&got),
                 replay_totals(std::slice::from_ref(&want)),
@@ -2022,6 +2194,58 @@ mod tests {
                 want.event_total()
             );
         }
+    }
+
+    #[test]
+    fn finish_trims_only_the_last_chunk() {
+        let drive = |s: &mut dyn EventSink| {
+            for i in 0..10u64 {
+                s.load(0x40 * i, 8);
+                s.inst(3);
+                s.branch(1);
+            }
+        };
+        let mut rec = TraceRecorder::with_capacity(4);
+        drive(&mut rec);
+        let chunks = rec.finish();
+        let mut reference = crate::event::TraceBuffer::new();
+        drive(&mut reference);
+        let decoded: Vec<Event> = chunks.iter().flat_map(TraceBuf::events).collect();
+        let want: Vec<Event> = reference
+            .events()
+            .iter()
+            .map(|&ev| match ev {
+                Event::Inst(_) | Event::Branch(_) => Event::Inst(0),
+                ev => ev,
+            })
+            .collect();
+        assert_eq!(decoded, want, "trimming moved no event");
+        assert_eq!(chunks.iter().map(TraceBuf::insts).sum::<u64>(), 30);
+        assert_eq!(chunks.iter().map(TraceBuf::branches).sum::<u64>(), 10);
+
+        let lane_caps = |c: &TraceBuf| {
+            [
+                c.kinds.capacity(),
+                c.addrs.capacity(),
+                c.sizes.capacity(),
+                c.ticks.capacity(),
+            ]
+        };
+        let (last, full) = chunks.split_last().expect("three chunks");
+        assert_eq!(full.len(), 2);
+        for c in full {
+            assert!(
+                lane_caps(c).iter().all(|&cap| cap >= 4),
+                "full chunks keep capacity"
+            );
+        }
+        assert_eq!(last.len(), 2);
+        assert_eq!(
+            lane_caps(last),
+            [2; 4],
+            "the last chunk is trimmed to length"
+        );
+        assert_eq!(last.capacity(), 4, "the logical capacity is unchanged");
     }
 
     #[test]

@@ -11,12 +11,17 @@
 //! sequence. (Saturated tick lanes need more than 2^32 consecutive clock
 //! ticks to reach through events; the unit tests in `batch.rs` seed one
 //! directly.)
+//!
+//! `TraceRecorder` and observer-less `BatchSink` stage the six
+//! convenience methods (`load`, `inst`, …) through a fast path that
+//! skips `event()`; a further property pins that both routes stage the
+//! same lanes and replay to the same statistics.
 
 use cc_sim::cache::WritePolicy;
-use cc_sim::event::{Event, EventSink};
+use cc_sim::event::{Event, EventSink, TraceBuffer};
 use cc_sim::geometry::CacheGeometry;
 use cc_sim::{
-    BatchCursor, BatchOutcome, Latency, MachineConfig, MemRef, MemorySink, MemorySystem,
+    BatchCursor, BatchOutcome, BatchSink, Latency, MachineConfig, MemRef, MemorySink, MemorySystem,
     ShardedReplayer, TraceBuf, TraceRecorder,
 };
 use proptest::prelude::*;
@@ -199,7 +204,103 @@ fn check(
     Ok(())
 }
 
+/// Delivers `ev` through the matching convenience method rather than
+/// [`EventSink::event`].
+fn deliver<S: EventSink>(sink: &mut S, ev: Event) {
+    match ev {
+        Event::Inst(n) => sink.inst(n),
+        Event::Branch(n) => sink.branch(n),
+        Event::Load {
+            addr,
+            size,
+            dep: true,
+        } => sink.load(addr, size),
+        Event::Load {
+            addr,
+            size,
+            dep: false,
+        } => sink.load_indep(addr, size),
+        Event::Store { addr, size } => sink.store(addr, size),
+        Event::Prefetch { addr } => sink.prefetch(addr),
+    }
+}
+
+/// Everything a drained [`BatchSink`] reports, in one comparable value.
+fn batch_sink_summary<O: EventSink>(mut sink: BatchSink<O>) -> String {
+    sink.flush();
+    let sys = sink.system();
+    format!(
+        "{:?}",
+        (
+            sys.l1_stats(),
+            sys.l2_stats(),
+            sys.tlb_stats(),
+            sink.memory_cycles(),
+            sink.insts(),
+            sink.branches(),
+            sink.fallback_batches(),
+        )
+    )
+}
+
+fn check_fast_path(
+    machine: MachineConfig,
+    events: &[Event],
+    cap: usize,
+) -> Result<(), TestCaseError> {
+    let mut fast = TraceRecorder::with_capacity(cap);
+    let mut slow = TraceRecorder::with_capacity(cap);
+    for &ev in events {
+        deliver(&mut fast, ev);
+        slow.event(ev);
+    }
+    // The compact encoding spells out every lane, the capacity, the
+    // address space and the folded totals.
+    let encode = |bufs: Vec<TraceBuf>| {
+        bufs.iter()
+            .map(TraceBuf::encode_compact)
+            .collect::<Vec<_>>()
+    };
+    prop_assert_eq!(encode(fast.finish()), encode(slow.finish()));
+
+    let mut fast = BatchSink::with_capacity(machine, cap);
+    let mut slow = BatchSink::with_capacity(machine, cap);
+    let mut watched = BatchSink::with_observer(machine, TraceBuffer::new());
+    for &ev in events {
+        deliver(&mut fast, ev);
+        slow.event(ev);
+        deliver(&mut watched, ev);
+    }
+    prop_assert_eq!(
+        watched.observer().map(|o| o.events().to_vec()),
+        Some(events.to_vec()),
+        "an observer sees every event"
+    );
+    let want = batch_sink_summary(slow);
+    prop_assert_eq!(&batch_sink_summary(fast), &want);
+    prop_assert_eq!(&batch_sink_summary(watched), &want);
+    Ok(())
+}
+
 proptest! {
+    /// The convenience methods stage exactly what `event()` stages, in
+    /// the recorder and in the batched sink, at chunk capacities small
+    /// enough that every stream crosses chunk boundaries.
+    #[test]
+    fn convenience_methods_equal_event(
+        words in prop::collection::vec(any::<u64>(), 1..160),
+        cap in 1usize..6,
+        lead in 0u8..3,
+    ) {
+        // Lead with nothing, an instruction run, or a branch: a leading
+        // clock-only event finds no entry to fold into.
+        let mut events = decode_trace(&words, lead == 1);
+        if lead == 2 {
+            events.insert(0, Event::Branch(2));
+        }
+        check_fast_path(writeback_overlapped(), &events, cap)?;
+    }
+
     /// Small chunk capacities on both sides, so chunk boundaries fall
     /// inside node visits and tick runs.
     #[test]

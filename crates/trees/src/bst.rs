@@ -14,7 +14,9 @@ use cc_sim::prefetch::greedy_prefetch_children;
 // Layout pinned per cc-lint: 24 B/node with zero padding, so a 64-byte line
 // holds 2 whole nodes (2.67 on average across an arena) — under repr(Rust)
 // the compiler was free to break that. The comparison key and child links
-// are the traversal-hot bytes; `addr` is only read to emit trace events.
+// are the hot bytes of the `Topology` walks (layout passes, audits, in-order
+// iteration). `Bst::search` reads only `addr`: it derives each visited
+// node's id, key and children from the midpoint build arithmetically.
 #[derive(Clone, Copy, Debug)]
 #[repr(C)]
 struct Node {
@@ -42,8 +44,10 @@ struct Node {
 #[derive(Clone, Debug)]
 pub struct Bst {
     nodes: Vec<Node>,
-    root: u32,
 }
+
+/// The root's arena id: the recursive build allocates it first.
+const ROOT: u32 = 0;
 
 impl Bst {
     /// Builds a balanced tree over keys `0..n` (each key is `2i`, so odd
@@ -57,9 +61,9 @@ impl Bst {
         assert!(n > 0, "tree must be nonempty");
         let mut t = Bst {
             nodes: Vec::with_capacity(n as usize),
-            root: NIL,
         };
-        t.root = t.build_range(0, n);
+        let root = t.build_range(0, n);
+        debug_assert_eq!(root, ROOT);
         // Default layout: allocation order, contiguous.
         t.layout_sequential(Order::DepthFirst);
         t
@@ -106,7 +110,7 @@ impl Bst {
                 1 + h(t, t.nodes[n as usize].left).max(h(t, t.nodes[n as usize].right))
             }
         }
-        h(self, self.root)
+        h(self, ROOT)
     }
 
     /// Address of node `id` (for tests).
@@ -152,29 +156,39 @@ impl Bst {
     /// Per visited node the traversal emits one dependent load of the
     /// node (key and child pointers share the element), a couple of
     /// compare/address instructions, and a branch.
+    ///
+    /// The narration is of a pointer chase, but the host walk is not
+    /// one: the arena holds the midpoint build in pre-order, so node `id`
+    /// over keys `[lo, hi)` has key `2 * mid` (`mid = lo + (hi - lo) / 2`),
+    /// its left child at `id + 1` over `[lo, mid)`, and its right child at
+    /// `id + 1 + (mid - lo)` over `[mid + 1, hi)` — exactly the ids
+    /// [`Bst::build_complete`] assigned. Only each node's simulated
+    /// address is read, so the host loads of one search do not wait on
+    /// each other.
     pub fn search<S: EventSink>(&self, key: u64, sink: &mut S, sw_prefetch: bool) -> bool {
-        let mut cur = self.root;
-        while cur != NIL {
-            let node = &self.nodes[cur as usize];
-            sink.load(node.addr, BST_NODE_BYTES as u32);
+        let (mut id, mut lo, mut hi) = (ROOT as usize, 0u64, self.nodes.len() as u64);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            sink.load(self.nodes[id].addr, BST_NODE_BYTES as u32);
             sink.inst(3);
             sink.branch(1);
+            let (left, right) = (id + 1, id + 1 + (mid - lo) as usize);
             if sw_prefetch {
                 let mut kids = [0u64; 2];
                 let mut n = 0;
-                for c in [node.left, node.right] {
-                    if c != NIL {
-                        kids[n] = self.nodes[c as usize].addr;
+                for (c, exists) in [(left, lo < mid), (right, mid + 1 < hi)] {
+                    if exists {
+                        kids[n] = self.nodes[c].addr;
                         n += 1;
                     }
                 }
                 greedy_prefetch_children(sink, &kids[..n]);
             }
-            cur = match key.cmp(&node.key) {
+            match key.cmp(&(2 * mid)) {
                 std::cmp::Ordering::Equal => return true,
-                std::cmp::Ordering::Less => node.left,
-                std::cmp::Ordering::Greater => node.right,
-            };
+                std::cmp::Ordering::Less => (id, hi) = (left, mid),
+                std::cmp::Ordering::Greater => (id, lo) = (right, mid + 1),
+            }
         }
         false
     }
@@ -184,7 +198,7 @@ impl Bst {
         let mut out = Vec::with_capacity(self.nodes.len());
         // Iterative in-order to avoid deep recursion on large trees.
         let mut stack = Vec::new();
-        let mut cur = self.root;
+        let mut cur = ROOT;
         while cur != NIL || !stack.is_empty() {
             while cur != NIL {
                 stack.push(cur);
@@ -204,7 +218,7 @@ impl Topology for Bst {
     }
 
     fn root(&self) -> Option<usize> {
-        (self.root != NIL).then_some(self.root as usize)
+        Some(ROOT as usize)
     }
 
     fn max_kids(&self) -> usize {
@@ -226,6 +240,73 @@ mod tests {
     use super::*;
     use cc_sim::event::{NullSink, TraceBuffer};
     use cc_sim::MachineConfig;
+
+    /// The pointer-chasing walk the arithmetic search replaced: follows
+    /// the stored child links through [`Topology::child`] and compares
+    /// against the stored keys.
+    fn reference_search<S: EventSink>(t: &Bst, key: u64, sink: &mut S, sw_prefetch: bool) -> bool {
+        let mut cur = t.root();
+        while let Some(id) = cur {
+            let node = &t.nodes[id];
+            sink.load(node.addr, BST_NODE_BYTES as u32);
+            sink.inst(3);
+            sink.branch(1);
+            if sw_prefetch {
+                let kids: Vec<u64> = (0..2)
+                    .filter_map(|i| t.child(id, i))
+                    .map(|c| t.nodes[c].addr)
+                    .collect();
+                greedy_prefetch_children(sink, &kids);
+            }
+            cur = match key.cmp(&node.key) {
+                std::cmp::Ordering::Equal => return true,
+                std::cmp::Ordering::Less => t.child(id, 0),
+                std::cmp::Ordering::Greater => t.child(id, 1),
+            };
+        }
+        false
+    }
+
+    /// Every key in `0..=2n+1` (all hits, all misses, both ends) must
+    /// narrate the same events and give the same answer on both walks.
+    fn assert_search_matches_reference(n: u64, seed: u64) {
+        let mut t = Bst::build_complete(n);
+        // Scattered addresses, so a wrong node shows up as a wrong load.
+        t.layout_sequential(Order::Random { seed });
+        for sw_prefetch in [false, true] {
+            for key in 0..=2 * n + 1 {
+                let (mut got, mut want) = (TraceBuffer::new(), TraceBuffer::new());
+                let found = t.search(key, &mut got, sw_prefetch);
+                assert_eq!(
+                    found,
+                    reference_search(&t, key, &mut want, sw_prefetch),
+                    "n {n} key {key} prefetch {sw_prefetch}"
+                );
+                assert_eq!(found, key % 2 == 0 && key < 2 * n);
+                assert_eq!(
+                    got.events(),
+                    want.events(),
+                    "n {n} key {key} prefetch {sw_prefetch}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn arithmetic_search_matches_the_pointer_walk_for_small_trees() {
+        for n in 1..=300 {
+            assert_search_matches_reference(n, n);
+        }
+    }
+
+    #[test]
+    fn arithmetic_search_matches_the_pointer_walk_for_seeded_sizes() {
+        let mut rng = cc_core::rng::SplitMix64::new(0xB57);
+        for _ in 0..3 {
+            let n = 1 + rng.below(1 << 16);
+            assert_search_matches_reference(n, rng.next_u64());
+        }
+    }
 
     #[test]
     fn bst_property_holds() {

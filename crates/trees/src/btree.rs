@@ -14,12 +14,24 @@ use cc_heap::VirtualSpace;
 use cc_sim::event::EventSink;
 use cc_sim::MachineConfig;
 
-#[derive(Clone, Debug)]
+/// One node: a 24-byte record over the tree's flat key array. A node's
+/// keys are `BTree::keys[keys_at..keys_at + nkeys]`; its children are
+/// the contiguous ids `kids_at..kids_at + nkids` (the bulk load builds
+/// each internal node from one consecutive run of the level below), and
+/// a leaf has none.
+#[derive(Clone, Copy, Debug)]
 struct BNode {
-    keys: Vec<u64>,
-    /// Child arena indices; empty for leaves.
-    kids: Vec<u32>,
     addr: u64,
+    keys_at: u32,
+    nkeys: u32,
+    kids_at: u32,
+    nkids: u32,
+}
+
+impl BNode {
+    fn kids(&self) -> std::ops::Range<u32> {
+        self.kids_at..self.kids_at + self.nkids
+    }
 }
 
 /// A bulk-loaded B+-style search tree with cache-block-sized nodes.
@@ -38,6 +50,8 @@ struct BNode {
 #[derive(Clone, Debug)]
 pub struct BTree {
     nodes: Vec<BNode>,
+    /// Every node's keys, node after node (see [`BNode`]).
+    keys: Vec<u64>,
     root: u32,
     node_bytes: u64,
     max_keys: usize,
@@ -66,52 +80,73 @@ impl BTree {
         let max_keys = Self::max_keys_for(node_bytes);
         let per_node = ((max_keys as f64 * fill).round() as usize).clamp(1, max_keys);
 
+        // Size both arrays exactly up front: every node but the root is
+        // someone's child and each internal node holds one separator per
+        // child but the first, so the separators number `leaves - 1`.
+        let group = per_node + 1;
+        let leaves = keys.len().div_ceil(per_node);
+        let mut node_total = leaves;
+        let mut width = leaves;
+        while width > 1 {
+            width = width.div_ceil(group);
+            node_total += width;
+        }
         let mut t = BTree {
-            nodes: Vec::new(),
+            nodes: Vec::with_capacity(node_total),
+            keys: Vec::with_capacity(keys.len() + leaves - 1),
             root: NIL,
             node_bytes,
             max_keys,
             height: 0,
         };
 
-        // Leaves.
-        let mut level: Vec<u32> = Vec::new();
-        let mut seps: Vec<u64> = Vec::new(); // first key of each node
+        // Leaves. Each level's nodes take consecutive ids from
+        // `level_start`; `seps` holds the first key under each of them.
+        let mut level_start = 0u32;
+        let mut seps: Vec<u64> = Vec::new();
         for chunk in keys.chunks(per_node) {
-            let id = t.nodes.len() as u32;
-            t.nodes.push(BNode {
-                keys: chunk.to_vec(),
-                kids: Vec::new(),
-                addr: 0,
-            });
-            level.push(id);
+            t.push_node(chunk, 0, 0);
             seps.push(chunk[0]);
         }
         t.height = 1;
 
-        // Internal levels: group per_node+1 children per parent.
-        while level.len() > 1 {
-            let group = per_node + 1;
-            let mut next_level = Vec::new();
+        // Internal levels: group per_node+1 consecutive children per parent.
+        while seps.len() > 1 {
+            let next_start = t.nodes.len() as u32;
             let mut next_seps = Vec::new();
-            for (chunk, sep_chunk) in level.chunks(group).zip(seps.chunks(group)) {
-                let id = t.nodes.len() as u32;
-                t.nodes.push(BNode {
-                    // Separators: first key of each child except the first.
-                    keys: sep_chunk[1..].to_vec(),
-                    kids: chunk.to_vec(),
-                    addr: 0,
-                });
-                next_level.push(id);
+            for (i, sep_chunk) in seps.chunks(group).enumerate() {
+                // Separators: first key of each child except the first.
+                let kids_at = level_start + (i * group) as u32;
+                t.push_node(&sep_chunk[1..], kids_at, sep_chunk.len() as u32);
                 next_seps.push(sep_chunk[0]);
             }
-            level = next_level;
+            level_start = next_start;
             seps = next_seps;
             t.height += 1;
         }
-        t.root = level[0];
+        t.root = level_start;
+        debug_assert_eq!(
+            (t.nodes.len(), t.keys.len()),
+            (node_total, keys.len() + leaves - 1)
+        );
         t.layout_bfs();
         t
+    }
+
+    fn push_node(&mut self, keys: &[u64], kids_at: u32, nkids: u32) {
+        let keys_at = u32::try_from(self.keys.len()).expect("key array fits u32 offsets");
+        self.keys.extend_from_slice(keys);
+        self.nodes.push(BNode {
+            addr: 0,
+            keys_at,
+            nkeys: keys.len() as u32,
+            kids_at,
+            nkids,
+        });
+    }
+
+    fn keys_of(&self, node: &BNode) -> &[u64] {
+        &self.keys[node.keys_at as usize..][..node.nkeys as usize]
     }
 
     /// Number of nodes.
@@ -139,7 +174,7 @@ impl BTree {
         let mut q = std::collections::VecDeque::from([self.root]);
         while let Some(n) = q.pop_front() {
             out.push(n);
-            q.extend(self.nodes[n as usize].kids.iter().copied());
+            q.extend(self.nodes[n as usize].kids());
         }
         out
     }
@@ -182,15 +217,16 @@ impl BTree {
         loop {
             let node = &self.nodes[cur as usize];
             sink.load(node.addr, self.node_bytes as u32);
-            // In-node binary search: ~log2(keys) compares and branches.
-            let cmps = (node.keys.len().max(2) as f64).log2().ceil() as u32;
+            // In-node binary search: ~log2(keys) compares and branches
+            // (`ilog2(m - 1) + 1` is `ceil(log2(m))` for `m >= 2`).
+            let keys = self.keys_of(node);
+            let cmps = (keys.len().max(2) - 1).ilog2() + 1;
             sink.inst(2 * cmps);
             sink.branch(cmps);
-            if node.kids.is_empty() {
-                return node.keys.binary_search(&key).is_ok();
+            if node.nkids == 0 {
+                return keys.binary_search(&key).is_ok();
             }
-            let idx = node.keys.partition_point(|&k| k <= key);
-            cur = node.kids[idx];
+            cur = node.kids_at + keys.partition_point(|&k| k <= key) as u32;
         }
     }
 
@@ -198,10 +234,10 @@ impl BTree {
     pub fn keys_in_order(&self) -> Vec<u64> {
         fn walk(t: &BTree, n: u32, out: &mut Vec<u64>) {
             let node = &t.nodes[n as usize];
-            if node.kids.is_empty() {
-                out.extend(&node.keys);
+            if node.nkids == 0 {
+                out.extend(t.keys_of(node));
             } else {
-                for &k in &node.kids {
+                for k in node.kids() {
                     walk(t, k, out);
                 }
             }
