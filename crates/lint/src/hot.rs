@@ -7,6 +7,7 @@
 //! string→number object, reporting a position so the CLI can exit 2
 //! (input error) with something actionable.
 
+use crate::report::escape_json;
 use std::collections::BTreeMap;
 
 /// Parsed hotness weights.
@@ -51,7 +52,7 @@ impl HotSpec {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\n  \"{}\": {}", escape(k), fmt_weight(*v)));
+            out.push_str(&format!("\n  \"{}\": {}", escape_json(k), fmt_weight(*v)));
         }
         if !self.weights.is_empty() {
             out.push('\n');
@@ -95,16 +96,6 @@ fn fmt_weight(v: f64) -> String {
     } else {
         format!("{v:.4}")
     }
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 struct Json<'a> {
@@ -160,33 +151,56 @@ impl Json<'_> {
         }
     }
 
+    /// A string literal, decoded as UTF-8. Reads the escapes
+    /// [`escape_json`] writes (`\"`, `\\`, `\n`, `\t`, `\u00XX`, and any
+    /// other `\uXXXX` outside the surrogates); any other escaped byte
+    /// stands for itself, as `\/` does in JSON.
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.i;
+        let mut out = Vec::new();
         loop {
-            match self.bytes.get(self.i) {
-                Some(b'"') => {
+            let Some(&b) = self.bytes.get(self.i) else {
+                return Err("unterminated string".to_string());
+            };
+            self.i += 1;
+            match b {
+                b'"' => break,
+                b'\\' => {
+                    let Some(&e) = self.bytes.get(self.i) else {
+                        return Err("unterminated escape".to_string());
+                    };
                     self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    match self.bytes.get(self.i + 1) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(&c) => out.push(c as char),
-                        None => return Err("unterminated escape".to_string()),
+                    match e {
+                        b'n' => out.push(b'\n'),
+                        b't' => out.push(b'\t'),
+                        b'u' => {
+                            let c = self.hex4()?;
+                            out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+                        }
+                        e => out.push(e),
                     }
-                    self.i += 2;
                 }
-                Some(&c) => {
-                    out.push(c as char);
-                    self.i += 1;
-                }
-                None => return Err("unterminated string".to_string()),
+                b => out.push(b),
             }
         }
+        String::from_utf8(out).map_err(|_| format!("invalid UTF-8 in the string at byte {start}"))
+    }
+
+    /// The four hex digits of a `\uXXXX` escape, as a char.
+    fn hex4(&mut self) -> Result<char, String> {
+        let at = self.i;
+        let c = self
+            .bytes
+            .get(at..at + 4)
+            .and_then(|h| {
+                h.iter()
+                    .try_fold(0, |n, &d| Some(n * 16 + char::from(d).to_digit(16)?))
+            })
+            .and_then(char::from_u32)
+            .ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
+        self.i += 4;
+        Ok(c)
     }
 
     fn number(&mut self) -> Result<f64, String> {
@@ -233,6 +247,24 @@ mod tests {
         assert!(HotSpec::parse_json("[1, 2]").is_err());
         assert!(HotSpec::parse_json("{\"a\": 1} extra").is_err());
         assert!(HotSpec::parse_json("").is_err());
+    }
+
+    #[test]
+    fn round_trips_non_ascii_and_control_keys() {
+        let spec = HotSpec::from_entries([
+            ("Größe.x".to_string(), 2.0),
+            ("A\nB.\u{1}y\"\\".to_string(), 1.0),
+        ]);
+        let json = spec.to_json();
+        assert!(
+            json.contains(r#""A\nB.\u0001y\"\\": 1"#),
+            "control characters are escaped: {json}"
+        );
+        assert_eq!(HotSpec::parse_json(&json).unwrap(), spec);
+        let raw = HotSpec::parse_json("{\"Größe.x\": 2}").unwrap();
+        assert!(raw.field_hot("Größe", "x"));
+        assert!(HotSpec::parse_json("{\"a\\u12\": 1}").is_err());
+        assert!(HotSpec::parse_json("{\"a\\ud800\": 1}").is_err());
     }
 
     #[test]

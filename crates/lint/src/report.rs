@@ -403,8 +403,10 @@ fn fmt_f64(x: f64) -> String {
     format!("{x:.4}")
 }
 
-/// Minimal JSON string escaping.
-fn escape_json(s: &str) -> String {
+/// Escapes `s` for a JSON string literal: `\"`, `\\`, `\n`, `\t`, and
+/// `\u00XX` for the other control characters. The crate's only JSON
+/// escaper; [`crate::hot::HotSpec`]'s parser reads it back.
+pub(crate) fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

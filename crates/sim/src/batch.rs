@@ -23,10 +23,9 @@
 //!   any future replacement decision (see the invariant notes on
 //!   [`BatchCursor`]);
 //! * [`BatchSink`] — an [`EventSink`] that buffers events and flushes them
-//!   through `access_batch`, with an optional observer for consumers that
-//!   need the raw stream (affinity tracing, tees). With no observer
-//!   attached, no per-event dynamic dispatch or observer branching survives
-//!   in the hot loop;
+//!   through `access_batch`; no per-event dynamic dispatch survives in the
+//!   hot loop (a caller that also needs the raw stream wraps the sink in a
+//!   [`crate::Tee`]);
 //! * [`TraceRecorder`] — an [`EventSink`] that records a stream straight
 //!   into fixed-capacity [`TraceBuf`] chunks for storing, splitting, and
 //!   replaying later. It folds events as `BatchSink` does, as they
@@ -49,7 +48,7 @@
 //! ordering.
 
 use crate::cache::ReadTally;
-use crate::event::{Event, EventSink, NullSink};
+use crate::event::{Event, EventSink};
 use crate::hierarchy::{AccessKind, MemorySystem};
 use cc_obs::attrib::Level as ObsLevel;
 
@@ -1276,12 +1275,9 @@ impl InlineRead {
 /// only up to the last drain: call [`BatchSink::flush`] before reading
 /// counters at a measurement point.
 ///
-/// An optional observer receives every event as it arrives (before
-/// batching), for consumers that need the raw stream — an
-/// [`crate::AffinityTrace`], a [`crate::Tee`], a recorder. Without one,
-/// the hot loop carries no per-event observer dispatch at all, and the
-/// convenience methods stage through the same fast path as
-/// [`TraceRecorder`]'s.
+/// The convenience methods stage through the same fast path as
+/// [`TraceRecorder`]'s. A caller that also needs the raw stream wraps the
+/// sink in a [`crate::Tee`].
 ///
 /// # Example
 ///
@@ -1297,11 +1293,10 @@ impl InlineRead {
 /// assert_eq!(sink.system().l2_stats().misses(), 1);
 /// ```
 #[derive(Debug)]
-pub struct BatchSink<O: EventSink = NullSink> {
+pub struct BatchSink {
     system: MemorySystem,
     buf: TraceBuf,
     cursor: BatchCursor,
-    observer: Option<O>,
     insts: u64,
     branches: u64,
     now: u64,
@@ -1320,39 +1315,18 @@ pub struct BatchSink<O: EventSink = NullSink> {
 /// the host's L1/L2 caches.
 pub const DEFAULT_BATCH_CAPACITY: usize = 4096;
 
-impl BatchSink<NullSink> {
-    /// Creates an observer-less batched sink simulating `machine`.
+impl BatchSink {
+    /// Creates a batched sink simulating `machine`.
     pub fn new(machine: crate::MachineConfig) -> Self {
         Self::with_capacity(machine, DEFAULT_BATCH_CAPACITY)
     }
 
-    /// Creates an observer-less batched sink with a custom batch capacity.
+    /// Creates a batched sink with a custom batch capacity.
     pub fn with_capacity(machine: crate::MachineConfig, cap: usize) -> Self {
         BatchSink {
             system: MemorySystem::new(machine),
             buf: TraceBuf::with_capacity(cap),
             cursor: BatchCursor::new(),
-            observer: None,
-            insts: 0,
-            branches: 0,
-            now: 0,
-            cycles: 0,
-            validate: false,
-            fallback_batches: 0,
-            fallback_events: 0,
-        }
-    }
-}
-
-impl<O: EventSink> BatchSink<O> {
-    /// Creates a batched sink that also forwards every event to
-    /// `observer` as it arrives.
-    pub fn with_observer(machine: crate::MachineConfig, observer: O) -> Self {
-        BatchSink {
-            system: MemorySystem::new(machine),
-            buf: TraceBuf::with_capacity(DEFAULT_BATCH_CAPACITY),
-            cursor: BatchCursor::new(),
-            observer: Some(observer),
             insts: 0,
             branches: 0,
             now: 0,
@@ -1497,18 +1471,6 @@ impl<O: EventSink> BatchSink<O> {
         self.cycles
     }
 
-    /// The attached observer, if any.
-    pub fn observer(&self) -> Option<&O> {
-        self.observer.as_ref()
-    }
-
-    /// Flushes and decomposes the sink into its memory system and
-    /// observer.
-    pub fn into_parts(mut self) -> (MemorySystem, Option<O>) {
-        self.flush();
-        (self.system, self.observer)
-    }
-
     /// Flushes pending events, then zeroes the statistics counters
     /// (cache and TLB *contents* are preserved), mirroring
     /// [`crate::MemorySink::reset_stats`].
@@ -1530,76 +1492,62 @@ fn event_cold<S: EventSink>(sink: &mut S, ev: Event) {
 }
 
 /// The six [`EventSink`] convenience methods over the staging fast path
-/// of a [`TraceBuf`]. `$s => $buf` names the sink and yields the buffer
-/// to stage into, or `None` when every event must take
-/// [`EventSink::event`] (an observer must see it first). A memory event
-/// costs one capacity check and four lane pushes; an `Inst`/`Branch`
-/// costs one tick bump on the trailing entry. Only the cold cases — an
+/// of a [`TraceBuf`]. `$buf` names the sink's field holding the buffer
+/// to stage into. A memory event costs one capacity check and four lane
+/// pushes; an `Inst`/`Branch` costs one tick bump on the trailing entry. Only the cold cases — an
 /// empty or full buffer, a saturated tick lane — go through `event()`,
 /// whose packing rule ([`TraceBuf::push_folded`]) the fast path
 /// shortcuts, so both routes stage identical lanes.
 macro_rules! staging_fast_path {
-    ($s:ident => $buf:expr) => {
+    ($buf:ident) => {
         #[inline]
         fn inst(&mut self, n: u32) {
-            let $s = &mut *self;
-            if !$buf.is_some_and(|b| b.try_fold_tick(n, 0)) {
+            if !self.$buf.try_fold_tick(n, 0) {
                 event_cold(self, Event::Inst(n));
             }
         }
 
         #[inline]
         fn branch(&mut self, n: u32) {
-            let $s = &mut *self;
-            if !$buf.is_some_and(|b| b.try_fold_tick(0, n)) {
+            if !self.$buf.try_fold_tick(0, n) {
                 event_cold(self, Event::Branch(n));
             }
         }
 
         #[inline]
         fn load(&mut self, addr: u64, size: u32) {
-            let $s = &mut *self;
-            if !$buf.is_some_and(|b| b.try_push_mem(PackedKind::LoadDep, addr, size)) {
+            if !self.$buf.try_push_mem(PackedKind::LoadDep, addr, size) {
                 event_cold(self, Event::load(addr, size));
             }
         }
 
         #[inline]
         fn load_indep(&mut self, addr: u64, size: u32) {
-            let $s = &mut *self;
-            if !$buf.is_some_and(|b| b.try_push_mem(PackedKind::LoadIndep, addr, size)) {
+            if !self.$buf.try_push_mem(PackedKind::LoadIndep, addr, size) {
                 event_cold(self, Event::load_indep(addr, size));
             }
         }
 
         #[inline]
         fn store(&mut self, addr: u64, size: u32) {
-            let $s = &mut *self;
-            if !$buf.is_some_and(|b| b.try_push_mem(PackedKind::Store, addr, size)) {
+            if !self.$buf.try_push_mem(PackedKind::Store, addr, size) {
                 event_cold(self, Event::store(addr, size));
             }
         }
 
         #[inline]
         fn prefetch(&mut self, addr: u64) {
-            let $s = &mut *self;
-            if !$buf.is_some_and(|b| b.try_push_mem(PackedKind::Prefetch, addr, 0)) {
+            if !self.$buf.try_push_mem(PackedKind::Prefetch, addr, 0) {
                 event_cold(self, Event::Prefetch { addr });
             }
         }
     };
 }
 
-impl<O: EventSink> EventSink for BatchSink<O> {
-    // Without an observer the convenience methods stage straight into the
-    // buffer; with one, every event goes through `event()` so the
-    // observer sees it first.
-    staging_fast_path!(s => s.observer.is_none().then_some(&mut s.buf));
+impl EventSink for BatchSink {
+    staging_fast_path!(buf);
 
     fn event(&mut self, ev: Event) {
-        if let Some(obs) = &mut self.observer {
-            obs.event(ev);
-        }
         // Drain lazily, just before the event that needs the room: a full
         // buffer can still fold trailing ticks, so keeping it around lets
         // tick runs at the boundary coalesce.
@@ -1702,7 +1650,7 @@ impl Default for TraceRecorder {
 }
 
 impl EventSink for TraceRecorder {
-    staging_fast_path!(s => Some(&mut s.cur));
+    staging_fast_path!(cur);
 
     #[inline]
     fn event(&mut self, ev: Event) {
@@ -1810,18 +1758,6 @@ mod tests {
             s.load(0x200, 8);
             s.load(0x100, 8);
         }
-    }
-
-    #[test]
-    fn observer_sees_every_event() {
-        use crate::event::TraceBuffer;
-        use crate::EventSink;
-        let mut sink = BatchSink::with_observer(MachineConfig::test_tiny(), TraceBuffer::new());
-        sink.load(0x40, 8);
-        sink.store(0x80, 8);
-        sink.inst(1);
-        let (_, obs) = sink.into_parts();
-        assert_eq!(obs.expect("observer attached").events().len(), 3);
     }
 
     #[test]

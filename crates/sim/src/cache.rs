@@ -1,6 +1,5 @@
 //! A single set-associative cache level with true-LRU replacement.
 
-use crate::blockset::BlockSet;
 use crate::geometry::CacheGeometry;
 use crate::stats::CacheStats;
 
@@ -57,7 +56,6 @@ const NO_VICTIM: u64 = u64::MAX;
 pub(crate) struct ReadTally {
     pub(crate) reads: u64,
     pub(crate) misses: u64,
-    pub(crate) rereferences: u64,
     pub(crate) evictions: u64,
     pub(crate) writebacks: u64,
 }
@@ -104,25 +102,21 @@ pub struct Probe {
 /// uses — live in a lane only associative probes touch.
 #[derive(Clone, Debug)]
 pub struct Cache {
-    geometry: CacheGeometry,
-    policy: WritePolicy,
     /// Per-line tags; [`TAG_INVALID`] marks an empty line.
     tags: Vec<u64>,
     /// One dirty bit per line.
     dirty: Vec<u64>,
-    /// Monotonic use stamps for true-LRU; read only when `assoc > 1`.
-    used: Vec<u64>,
     clock: u64,
-    stats: CacheStats,
-    /// Block addresses ever resident, to classify re-reference misses.
-    /// Probed on every miss, so it uses a dense bitmap over the heap's
-    /// block range rather than a hash set.
-    ever_resident: BlockSet,
     /// Block address evicted by the most recent [`Cache::access`] /
     /// [`Cache::fill`], or [`NO_VICTIM`]. Miss attribution reads this to
     /// name the conflict victim; one unconditional store per probe keeps
     /// it current, so the plain replay paths pay nothing measurable.
     last_victim: u64,
+    /// Monotonic use stamps for true-LRU; read only when `assoc > 1`.
+    used: Vec<u64>,
+    geometry: CacheGeometry,
+    stats: CacheStats,
+    policy: WritePolicy,
 }
 
 impl Cache {
@@ -131,15 +125,14 @@ impl Cache {
         let n = (geometry.sets() * geometry.assoc()) as usize;
         let words = n.div_ceil(64);
         Cache {
-            geometry,
-            policy,
             tags: vec![TAG_INVALID; n],
             dirty: vec![0; words],
-            used: vec![0; n],
             clock: 0,
-            stats: CacheStats::new(),
-            ever_resident: BlockSet::new(geometry.block_bytes()),
             last_victim: NO_VICTIM,
+            used: vec![0; n],
+            geometry,
+            stats: CacheStats::new(),
+            policy,
         }
     }
 
@@ -174,7 +167,6 @@ impl Cache {
         self.dirty.fill(0);
         self.clock = 0;
         self.stats = CacheStats::new();
-        self.ever_resident.clear();
         self.last_victim = NO_VICTIM;
     }
 
@@ -217,7 +209,7 @@ impl Cache {
     /// Demand *read* probe specialized for direct-mapped caches. With a
     /// single way per set there is no replacement choice, so the LRU clock
     /// and use stamps are semantically inert and the probe reduces to one
-    /// tag compare. Miss classification, residency, dirty bits, and
+    /// tag compare. Hit/miss outcome, evictions, dirty bits, and
     /// writeback accounting match [`Cache::access`]`(addr, false)` exactly;
     /// only the (meaningless) stamp values differ. Nothing is recorded in
     /// [`CacheStats`] here: every counter the scalar path would bump lands
@@ -251,11 +243,7 @@ impl Cache {
                 NO_VICTIM
             };
         }
-        // One test-and-set: a read miss always allocates, so the block
-        // joins the residency set whether or not it was there.
-        let seen = !self.ever_resident.insert(addr);
         tally.misses += 1;
-        tally.rereferences += u64::from(seen);
         tally.evictions += u64::from(was_valid);
         // Write-through lines are never dirty, so the dirty bitmap is
         // untouched on that policy's read path (and nothing ever counts
@@ -314,10 +302,8 @@ impl Cache {
         }
 
         // Miss path.
-        let mut seen = false;
         if demand {
-            seen = self.ever_resident.contains(addr);
-            self.stats.record_miss(write, seen);
+            self.stats.record_miss(write);
         }
 
         // Write-through caches do not allocate on write misses.
@@ -356,11 +342,6 @@ impl Cache {
             write && self.policy == WritePolicy::WriteBack,
         );
         self.used[victim] = clock;
-        if !seen {
-            // Re-inserting a known member is a no-op; only genuinely new
-            // blocks (and fills, which skip the membership probe) pay it.
-            self.ever_resident.insert(addr);
-        }
         Probe {
             hit: false,
             writeback,
@@ -393,7 +374,6 @@ mod tests {
         assert!(!c.access(0, false).hit);
         assert!(!c.access(cap, false).hit, "same set, different tag");
         assert!(!c.access(0, false).hit, "got evicted");
-        assert_eq!(c.stats().rereference_misses(), 1);
     }
 
     #[test]

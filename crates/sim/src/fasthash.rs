@@ -1,12 +1,12 @@
 //! A deterministic, multiply-based hasher for the simulator's
 //! integer-keyed tables, shared with `cc-heap`.
 //!
-//! Users: the prefetch in-flight map ([`crate::MemorySystem`]), the
-//! spill set behind each cache's residency bitmap, and `cc-heap`'s
-//! allocator bookkeeping (`CcMalloc`'s page and live-allocation maps,
-//! the snapshot ledger). Every key is an address the simulator or the
-//! simulated allocator produced itself, never one taken from outside the
-//! program, so there is no adversary to defend against.
+//! Users: the prefetch in-flight map ([`crate::MemorySystem`]) and
+//! `cc-heap`'s allocator bookkeeping (`CcMalloc`'s page and
+//! live-allocation maps, the snapshot ledger). Every key is an address
+//! the simulator or the simulated allocator produced itself, never one
+//! taken from outside the program, so there is no adversary to defend
+//! against.
 //!
 //! The standard library's default hasher is SipHash with a per-process
 //! random seed: robust against adversarial keys, but tens of nanoseconds
@@ -27,7 +27,7 @@
 //! well-mixed high half of the product down into the low bits (the
 //! `rotate_left(26)` finish rustc-hash 2 uses).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiply-mix hasher for integer keys (block and page addresses).
@@ -74,12 +74,10 @@ impl Hasher for FastHasher {
 /// hasher.
 pub type FastHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
-/// `HashSet` of simulated addresses, with the fast deterministic hasher.
-pub(crate) type FastHashSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn h(n: u64) -> u64 {
         let mut x = FastHasher::default();
@@ -89,7 +87,7 @@ mod tests {
 
     #[test]
     fn deterministic_and_spreading() {
-        let mut set = FastHashSet::default();
+        let mut set = HashSet::<u64, BuildHasherDefault<FastHasher>>::default();
         for b in (0..4096u64).map(|i| i * 64) {
             set.insert(b);
         }

@@ -353,17 +353,6 @@ impl MemorySystem {
         self.inflight.values().filter(|&&t| t > now).count()
     }
 
-    /// Drops in-flight records that completed before `now`.
-    ///
-    /// No replay path calls this, and none may: a record stays in the
-    /// map after its data arrived because the next demand access to the
-    /// block still consumes it and counts a *full* prefetch hit
-    /// ([`CacheStats::prefetch_full_hits`]). Retiring completed records
-    /// would silently drop those hits from the statistics.
-    pub fn retire_inflight(&mut self, now: u64) {
-        self.inflight.retain(|_, &mut t| t > now);
-    }
-
     /// Whether the block containing `addr` is resident in L1.
     pub fn l1_contains(&self, addr: u64) -> bool {
         self.l1.contains(addr)
@@ -483,8 +472,7 @@ mod tests {
         m.prefetch(0xA000, 0);
         m.prefetch(0xB000, 0);
         assert_eq!(m.inflight_at(10), 2);
-        m.retire_inflight(1000);
-        assert_eq!(m.inflight_at(10), 0);
+        assert_eq!(m.inflight_at(1000), 0);
     }
 
     #[test]

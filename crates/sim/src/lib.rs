@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-mod blockset;
 pub mod cache;
 pub mod config;
 pub mod event;

@@ -25,10 +25,9 @@
 //!    owned by one shard**, for *any* shard count (the router reduces the
 //!    overlap value modulo the count, still a pure function of it).
 //! 3. A shard therefore sees *all* the traffic its sets receive and *none*
-//!    of any other set's. True-LRU state is per-set, the `ever_resident`
-//!    re-reference sets partition by block, and the prefetch in-flight
-//!    table keys by L2 block (whose L1 and L2 fills land in the same
-//!    shard, by fact 1) — every piece of replay state decomposes.
+//!    of any other set's. True-LRU state is per-set and the prefetch
+//!    in-flight table keys by L2 block (whose L1 and L2 fills land in the
+//!    same shard, by fact 1) — every piece of replay state decomposes.
 //!
 //! Within a shard, probes keep their original relative order (the splitter
 //! walks the trace once, appending in order), so per-set LRU decisions are

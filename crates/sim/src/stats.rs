@@ -2,16 +2,10 @@
 
 /// Access counters for one cache level.
 ///
-/// Misses are classified into the reasons relevant to the paper's placement
-/// techniques: a *conflict* miss would have hit in a fully-associative cache
-/// of the same capacity (approximated as "the victim block was referenced
-/// more recently than `sets × assoc` distinct blocks ago" is too costly to
-/// track exactly, so we use the standard simulator approximation: a miss on
-/// a block that was previously resident and was evicted while fewer than
-/// `capacity` distinct blocks intervened would require full LRU-stack
-/// bookkeeping; instead we count *evicted-then-rereferenced* misses, which
-/// upper-bounds conflict+capacity re-reference misses and is what coloring
-/// reduces).
+/// Misses are counted, not classified: the paper's per-level miss rates
+/// (Section 5.1) and evictions are what every figure and table reads.
+/// "Why did this miss?" is answered by `cc-obs`'s miss attribution, which
+/// names the conflict victim of each miss.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     reads: u64,
@@ -20,9 +14,6 @@ pub struct CacheStats {
     write_misses: u64,
     evictions: u64,
     writebacks: u64,
-    /// Misses to blocks that were resident earlier and got evicted —
-    /// the re-reference misses that clustering/coloring attack.
-    rereference_misses: u64,
     /// Demand accesses that found their block still in flight from a
     /// prefetch (hit, but had to wait for the remaining latency).
     prefetch_partial_hits: u64,
@@ -82,11 +73,6 @@ impl CacheStats {
         self.writebacks
     }
 
-    /// Misses to blocks that had been resident before (see type docs).
-    pub fn rereference_misses(&self) -> u64 {
-        self.rereference_misses
-    }
-
     /// Prefetches issued to this level.
     pub fn prefetches_issued(&self) -> u64 {
         self.prefetches_issued
@@ -123,7 +109,6 @@ impl CacheStats {
         self.write_misses += other.write_misses;
         self.evictions += other.evictions;
         self.writebacks += other.writebacks;
-        self.rereference_misses += other.rereference_misses;
         self.prefetch_partial_hits += other.prefetch_partial_hits;
         self.prefetch_full_hits += other.prefetch_full_hits;
         self.prefetches_issued += other.prefetches_issued;
@@ -145,19 +130,15 @@ impl CacheStats {
     pub(crate) fn add_read_tally(&mut self, t: &crate::cache::ReadTally) {
         self.reads += t.reads;
         self.read_misses += t.misses;
-        self.rereference_misses += t.rereferences;
         self.evictions += t.evictions;
         self.writebacks += t.writebacks;
     }
 
-    pub(crate) fn record_miss(&mut self, write: bool, was_resident_before: bool) {
+    pub(crate) fn record_miss(&mut self, write: bool) {
         if write {
             self.write_misses += 1;
         } else {
             self.read_misses += 1;
-        }
-        if was_resident_before {
-            self.rereference_misses += 1;
         }
     }
 
@@ -250,19 +231,11 @@ mod tests {
         let mut s = CacheStats::new();
         s.record_access(false);
         s.record_access(true);
-        s.record_miss(true, false);
+        s.record_miss(true);
         assert_eq!(s.accesses(), 2);
         assert_eq!(s.hits(), 1);
         assert_eq!(s.misses(), 1);
         assert_eq!(s.write_misses(), 1);
         assert!((s.miss_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rereference_misses_tracked() {
-        let mut s = CacheStats::new();
-        s.record_access(false);
-        s.record_miss(false, true);
-        assert_eq!(s.rereference_misses(), 1);
     }
 }

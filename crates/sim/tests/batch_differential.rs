@@ -12,7 +12,7 @@ use cc_sim::batch::BatchSink;
 use cc_sim::cache::WritePolicy;
 use cc_sim::event::{Event, EventSink};
 use cc_sim::geometry::CacheGeometry;
-use cc_sim::{AccessKind, Latency, MachineConfig, MemorySink, MemorySystem};
+use cc_sim::{AccessKind, Latency, MachineConfig, MemorySink};
 use proptest::prelude::*;
 
 /// A machine with a *write-back* L1, so stores allocate, dirty lines, and
@@ -126,8 +126,8 @@ fn check_differential(machine: MachineConfig, trace: &[Event]) -> Result<(), Tes
     // per-access outcomes (level, cycles, TLB miss) — any divergence in
     // LRU stamps order, dirty bits, or in-flight prefetch state shows up
     // here as a different hit/writeback/wait pattern.
-    let (mut sys_b, _) = batched.into_parts();
-    let mut sys_s = scalar_into_system(scalar);
+    let mut sys_b = batched.system().clone();
+    let mut sys_s = scalar.system().clone();
     let t0 = trace.len() as u64 + 1;
     for (i, addr) in (0..8 * 1024u64).step_by(16).enumerate() {
         let kind = if i % 5 == 3 {
@@ -144,11 +144,6 @@ fn check_differential(machine: MachineConfig, trace: &[Event]) -> Result<(), Tes
     prop_assert_eq!(sys_b.l2_stats(), sys_s.l2_stats(), "post-probe L2");
     prop_assert_eq!(sys_b.tlb_stats(), sys_s.tlb_stats(), "post-probe TLB");
     Ok(())
-}
-
-/// `MemorySink` has no `into_parts`; replicate the system by cloning.
-fn scalar_into_system(sink: MemorySink) -> MemorySystem {
-    sink.system().clone()
 }
 
 proptest! {

@@ -4,12 +4,12 @@
 //! the scalar [`MemorySystem`]; this file checks the scalar engine
 //! against a model written for obviousness instead of speed. Each set
 //! is a plain list of resident blocks searched linearly, LRU is a
-//! minimum over last-use stamps, the TLB is an MRU-first list, and
-//! "ever resident" is a linear scan — no memo, no sentinel tags, no
-//! bitmaps, no hashing. The two share only the documented semantics:
-//! write-through levels do not allocate on write misses, a store costs
-//! the hit time plus any TLB penalty, and a reference touches every L1
-//! block (and page) it overlaps, in address order.
+//! minimum over last-use stamps, and the TLB is an MRU-first list — no
+//! memo, no sentinel tags, no bitmaps, no hashing. The two share only
+//! the documented semantics: write-through levels do not allocate on
+//! write misses, a store costs the hit time plus any TLB penalty, and a
+//! reference touches every L1 block (and page) it overlaps, in address
+//! order.
 
 use cc_sim::cache::WritePolicy;
 use cc_sim::geometry::CacheGeometry;
@@ -19,26 +19,24 @@ use proptest::prelude::*;
 /// One cache level: `sets[s]` holds `(block, dirty, last_use)` for each
 /// resident line, at most `assoc` of them.
 struct NaiveCache {
-    sets: Vec<Vec<(u64, bool, u64)>>,
-    ever: Vec<u64>,
+    /// reads, writes, read misses, write misses, evictions, writebacks —
+    /// [`CacheStats`]' demand counters, in order.
+    counts: [u64; 6],
     assoc: usize,
     block_bytes: u64,
+    sets: Vec<Vec<(u64, bool, u64)>>,
     clock: u64,
-    /// reads, writes, read misses, write misses, evictions, writebacks,
-    /// re-reference misses — [`CacheStats`]' demand counters, in order.
-    counts: [u64; 7],
     write_back: bool,
 }
 
 impl NaiveCache {
     fn new(g: CacheGeometry, policy: WritePolicy) -> Self {
         NaiveCache {
-            sets: vec![Vec::new(); g.sets() as usize],
-            ever: Vec::new(),
+            counts: [0; 6],
             assoc: g.assoc() as usize,
             block_bytes: g.block_bytes(),
+            sets: vec![Vec::new(); g.sets() as usize],
             clock: 0,
-            counts: [0; 7],
             write_back: policy == WritePolicy::WriteBack,
         }
     }
@@ -55,9 +53,7 @@ impl NaiveCache {
             line.1 |= write && self.write_back;
             return true;
         }
-        let seen = self.ever.contains(&block);
         self.counts[2 + usize::from(write)] += 1;
-        self.counts[6] += u64::from(seen);
         if write && !self.write_back {
             return false; // write-around: no allocation
         }
@@ -68,13 +64,10 @@ impl NaiveCache {
             self.counts[5] += u64::from(dirty);
         }
         set.push((block, write && self.write_back, self.clock));
-        if !seen {
-            self.ever.push(block);
-        }
         false
     }
 
-    fn counts_of(s: &CacheStats) -> [u64; 7] {
+    fn counts_of(s: &CacheStats) -> [u64; 6] {
         [
             s.reads(),
             s.writes(),
@@ -82,7 +75,6 @@ impl NaiveCache {
             s.write_misses(),
             s.evictions(),
             s.writebacks(),
-            s.rereference_misses(),
         ]
     }
 }

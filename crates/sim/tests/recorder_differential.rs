@@ -12,13 +12,13 @@
 //! ticks to reach through events; the unit tests in `batch.rs` seed one
 //! directly.)
 //!
-//! `TraceRecorder` and observer-less `BatchSink` stage the six
+//! `TraceRecorder` and `BatchSink` stage the six
 //! convenience methods (`load`, `inst`, …) through a fast path that
 //! skips `event()`; a further property pins that both routes stage the
 //! same lanes and replay to the same statistics.
 
 use cc_sim::cache::WritePolicy;
-use cc_sim::event::{Event, EventSink, TraceBuffer};
+use cc_sim::event::{Event, EventSink};
 use cc_sim::geometry::CacheGeometry;
 use cc_sim::{
     BatchCursor, BatchOutcome, BatchSink, Latency, MachineConfig, MemRef, MemorySink, MemorySystem,
@@ -226,7 +226,7 @@ fn deliver<S: EventSink>(sink: &mut S, ev: Event) {
 }
 
 /// Everything a drained [`BatchSink`] reports, in one comparable value.
-fn batch_sink_summary<O: EventSink>(mut sink: BatchSink<O>) -> String {
+fn batch_sink_summary(mut sink: BatchSink) -> String {
     sink.flush();
     let sys = sink.system();
     format!(
@@ -265,20 +265,11 @@ fn check_fast_path(
 
     let mut fast = BatchSink::with_capacity(machine, cap);
     let mut slow = BatchSink::with_capacity(machine, cap);
-    let mut watched = BatchSink::with_observer(machine, TraceBuffer::new());
     for &ev in events {
         deliver(&mut fast, ev);
         slow.event(ev);
-        deliver(&mut watched, ev);
     }
-    prop_assert_eq!(
-        watched.observer().map(|o| o.events().to_vec()),
-        Some(events.to_vec()),
-        "an observer sees every event"
-    );
-    let want = batch_sink_summary(slow);
-    prop_assert_eq!(&batch_sink_summary(fast), &want);
-    prop_assert_eq!(&batch_sink_summary(watched), &want);
+    prop_assert_eq!(batch_sink_summary(fast), batch_sink_summary(slow));
     Ok(())
 }
 
